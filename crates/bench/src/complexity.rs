@@ -1,43 +1,37 @@
 //! The algorithmic work observatory: pinned scaling scenarios,
 //! empirical complexity curves, and an **exact** asymptotic gate.
 //!
-//! The perf observatory ([`crate::perf`]) watches wall time, which on a
-//! noisy CI box needs MAD slack of up to 25% — far too coarse to lock
-//! in (or even detect) asymptotic wins. The solvers, however, have
-//! crisp *work* profiles: YDS is interval scans, OA is hull pushes and
-//! pops, BKP is window slides, Frank–Wolfe is gradient evaluations.
-//! Every hot path increments a deterministic counter from the
-//! [`qbss_core::work::WORK_COUNTERS`] catalog, counting algorithmic
-//! progress only — never wall clock, shard layout, or log level — so
-//! two runs of the same code produce *byte-identical* counts and the
-//! gate can be exact, the way the quality gate (PR 9) already is.
+//! Wall time on a noisy CI box needs the perf gate's 25% slack — far too
+//! coarse to lock in (or even detect) asymptotic wins. The solvers,
+//! however, have crisp *work* profiles: YDS is interval scans, OA is hull
+//! pushes and pops, BKP is window slides, Frank–Wolfe is gradient
+//! evaluations. Every hot path increments a deterministic counter from
+//! the [`qbss_core::work::WORK_COUNTERS`] catalog, counting algorithmic
+//! progress only — never wall clock, shard layout, or log level — so two
+//! runs of the same code produce *byte-identical* counts and the gate
+//! can be exact.
 //!
-//! `qbss complexity record` sweeps each pinned scenario over its
-//! n-grid, captures the per-cell counter deltas by bracketing the run
-//! with two registry snapshots
-//! ([`qbss_telemetry::Registry::counter_values`]), fits a log-log
+//! `qbss complexity record` sweeps each pinned scenario over its n-grid,
+//! brackets every grid cell with a [`WorkMark`], fits a log-log
 //! least-squares slope per counter (the empirical exponent, with R²),
-//! and serializes a canonical `qbss-complexity-baseline/1` document —
-//! committed as `BENCH_complexity.json`. `qbss complexity gate`
-//! re-records and diffs: **any** increased op count at any grid point,
-//! any fitted-exponent increase beyond [`EXPONENT_TOL`], or lost
-//! counter/scenario coverage exits 3; `--explain` names the counter,
-//! grid point, and old → new counts. `QBSS_BLESS=1` re-blesses.
+//! and stores the series in the shared [`gate::Baseline`] envelope
+//! (`BENCH_complexity.json`). The rule: **any** increased op count at
+//! any grid point, any fitted-exponent increase beyond
+//! [`EXPONENT_TOL`], a dropped counter or a changed grid regresses; the
+//! record/compare/gate protocol itself lives in [`crate::gate`].
 
 use std::collections::BTreeMap;
-use std::fmt;
 
 use qbss_core::pipeline::Algorithm;
-use qbss_core::work::is_work_counter;
 use qbss_instances::gen::{generate, GenConfig};
-use qbss_telemetry::{json_escape, json_f64, json_parse, JsonValue};
+use qbss_telemetry::{json_escape, json_f64, JsonValue};
 use speed_scaling::job::{Instance, Job};
 use speed_scaling::multi::multi_opt_frank_wolfe;
 use speed_scaling::stream::{release_ordered, AvrStream, BkpStream, OaStream};
 use speed_scaling::yds::yds_profile;
 
 use crate::engine::{run_sweep, EngineError, InstanceSource, SweepSpec};
-use crate::quality::BuildInfo;
+use crate::gate::{self, Baseline, Exact, Finding, GateError, Scenario, WorkMark};
 
 /// The on-disk schema tag; bump on incompatible baseline changes.
 pub const COMPLEXITY_SCHEMA: &str = "qbss-complexity-baseline/1";
@@ -52,28 +46,26 @@ pub const EXPONENT_TOL: f64 = 0.05;
 // Scenarios
 // ---------------------------------------------------------------------
 
-/// A pinned scaling scenario: a named workload executed at each size of
-/// an n-grid. Everything (generator seeds, algorithm parameters, grid)
-/// is pinned, so the counter deltas are a pure function of the code
-/// under test.
+/// A pinned scaling workload: executed once at each size of its n-grid.
+/// Everything (generator seeds, algorithm parameters, grid) is pinned,
+/// so the counter deltas are a pure function of the code under test.
 #[derive(Debug, Clone, Copy)]
-pub struct ComplexityScenario {
-    /// Stable name (the baseline JSON key and the `--scenarios` token).
-    pub name: &'static str,
-    /// One-line description for `qbss complexity record` output.
-    pub description: &'static str,
+pub struct Sweep {
     /// The n-grid this scenario sweeps.
     pub grid: &'static [usize],
     run: fn(usize) -> Result<(), EngineError>,
 }
 
-impl ComplexityScenario {
+impl Sweep {
     /// Executes the pinned workload at size `n` (counter side effects
-    /// land in the global registry; callers bracket with snapshots).
+    /// land in the global registry; callers bracket with a [`WorkMark`]).
     pub fn run(&self, n: usize) -> Result<(), EngineError> {
         (self.run)(n)
     }
 }
+
+/// A named scaling scenario.
+pub type ComplexityScenario = Scenario<Sweep>;
 
 /// The shared instance family: the `online_default` generator keeps the
 /// job *density* roughly constant as `n` grows (horizon scales with n,
@@ -146,50 +138,45 @@ fn run_engine(n: usize) -> Result<(), EngineError> {
 }
 
 /// Every named complexity scenario, in canonical order.
-pub fn scenarios() -> Vec<ComplexityScenario> {
-    vec![
-        ComplexityScenario {
+pub fn scenarios() -> &'static [ComplexityScenario] {
+    const TABLE: &[ComplexityScenario] = &[
+        Scenario {
             name: "yds-offline",
             description: "one YDS solve per n, online family (critical-interval scans)",
-            grid: &[50, 100, 200, 400, 800],
-            run: run_yds,
+            work: Sweep { grid: &[50, 100, 200, 400, 800], run: run_yds },
         },
-        ComplexityScenario {
+        Scenario {
             name: "avr-stream",
             description: "AVR stream fed release-ordered, one finish per n",
-            grid: &[500, 1000, 2000, 4000],
-            run: run_avr,
+            work: Sweep { grid: &[500, 1000, 2000, 4000], run: run_avr },
         },
-        ComplexityScenario {
+        Scenario {
             name: "oa-stream",
             description: "OA stream fed release-ordered (hull maintenance per arrival)",
-            grid: &[200, 400, 800, 1600],
-            run: run_oa,
+            work: Sweep { grid: &[200, 400, 800, 1600], run: run_oa },
         },
-        ComplexityScenario {
+        Scenario {
             name: "bkp-stream",
             description: "BKP stream fed release-ordered, intensity queries at finish",
-            grid: &[50, 100, 200, 400],
-            run: run_bkp,
+            work: Sweep { grid: &[50, 100, 200, 400], run: run_bkp },
         },
-        ComplexityScenario {
+        Scenario {
             name: "fw-multi",
             description: "Frank-Wolfe OPT(m=3) at 12 iterations per n",
-            grid: &[8, 16, 32, 64],
-            run: run_fw,
+            work: Sweep { grid: &[8, 16, 32, 64], run: run_fw },
         },
-        ComplexityScenario {
+        Scenario {
             name: "engine-online",
             description: "avrq+oaq x 3 seeds through the engine (streaming core + OPT memo)",
-            grid: &[40, 80, 160, 320],
-            run: run_engine,
+            work: Sweep { grid: &[40, 80, 160, 320], run: run_engine },
         },
-    ]
+    ];
+    TABLE
 }
 
 /// Looks up a complexity scenario by name.
 pub fn scenario(name: &str) -> Option<ComplexityScenario> {
-    scenarios().into_iter().find(|s| s.name == name)
+    gate::find(scenarios(), name)
 }
 
 // ---------------------------------------------------------------------
@@ -266,151 +253,63 @@ pub struct ScenarioComplexity {
     pub counters: Vec<CounterSeries>,
 }
 
-/// A recorded complexity baseline. Serializes canonically; because
-/// every input is pinned and the counters are deterministic, two
-/// records of the same build are byte-identical.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ComplexityBaseline {
-    /// The build that produced these numbers (informational; the gate
-    /// ignores it).
-    pub build: BuildInfo,
-    /// Series by scenario name (sorted).
-    pub scenarios: BTreeMap<String, ScenarioComplexity>,
-}
-
-/// Failures of the complexity layer.
-#[derive(Debug)]
-pub enum ComplexityError {
-    /// `--scenarios` named something that doesn't exist.
-    UnknownScenario(String),
-    /// A baseline file didn't match the schema.
-    Parse(String),
-    /// A scenario workload failed to run (a bug in the scenario table).
-    Engine(EngineError),
-}
-
-impl fmt::Display for ComplexityError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ComplexityError::UnknownScenario(name) => {
-                let known: Vec<&str> = scenarios().iter().map(|s| s.name).collect();
-                write!(f, "unknown scenario `{name}` (expected one of: {})", known.join(", "))
-            }
-            ComplexityError::Parse(reason) => {
-                write!(f, "invalid complexity baseline: {reason}")
-            }
-            ComplexityError::Engine(e) => write!(f, "scenario failed to run: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ComplexityError {}
-
-impl From<EngineError> for ComplexityError {
-    fn from(e: EngineError) -> Self {
-        ComplexityError::Engine(e)
-    }
-}
+/// A recorded complexity baseline (`BENCH_complexity.json`).
+pub type ComplexityBaseline = Baseline<ScenarioComplexity>;
 
 /// Sweeps `names` (all scenarios when empty) over their n-grids and
-/// returns the recorded baseline. Each grid cell is bracketed by two
-/// global-registry snapshots; the difference is the cell's exact op
-/// counts, filtered to the catalogued work counters. Cells run
-/// serially in one process, so the deltas attribute cleanly.
-pub fn record(names: &[String]) -> Result<ComplexityBaseline, ComplexityError> {
-    let picked: Vec<ComplexityScenario> = if names.is_empty() {
-        scenarios()
-    } else {
-        names
-            .iter()
-            .map(|n| scenario(n).ok_or_else(|| ComplexityError::UnknownScenario(n.clone())))
-            .collect::<Result<_, _>>()?
-    };
+/// returns the recorded baseline. Each grid cell is bracketed by a
+/// [`WorkMark`]; cells run serially in one process, so the deltas
+/// attribute cleanly. A counter the scenario never moves is someone
+/// else's coverage and gets no series.
+pub fn record(names: &[String]) -> Result<ComplexityBaseline, GateError> {
     let mut out = BTreeMap::new();
-    for sc in picked {
+    for sc in gate::pick(scenarios(), names)? {
+        let grid = sc.work.grid;
         let mut series: BTreeMap<String, Vec<u64>> = BTreeMap::new();
-        for (i, &n) in sc.grid.iter().enumerate() {
-            let before = qbss_telemetry::metrics().counter_values();
-            sc.run(n)?;
-            let after = qbss_telemetry::metrics().counter_values();
-            for (name, &v) in &after {
-                if !is_work_counter(name) {
-                    continue;
-                }
-                let delta = v - before.get(name).copied().unwrap_or(0);
-                series
-                    .entry(name.clone())
-                    .or_insert_with(|| vec![0; sc.grid.len()])[i] = delta;
+        for (i, &n) in grid.iter().enumerate() {
+            let mark = WorkMark::now();
+            sc.work.run(n)?;
+            for (name, delta) in mark.delta() {
+                series.entry(name).or_insert_with(|| vec![0; grid.len()])[i] = delta;
             }
         }
-        // A counter the scenario never touches is someone else's
-        // coverage; keep only series with at least one positive count.
-        series.retain(|_, counts| counts.iter().any(|&c| c > 0));
         let counters = series
             .into_iter()
             .map(|(counter, counts)| {
-                let fit = fit_loglog(sc.grid, &counts);
+                let fit = fit_loglog(grid, &counts);
                 CounterSeries { counter, counts, fit }
             })
             .collect();
-        out.insert(
-            sc.name.to_string(),
-            ScenarioComplexity { grid: sc.grid.to_vec(), counters },
-        );
+        out.insert(sc.name.to_string(), ScenarioComplexity { grid: grid.to_vec(), counters });
     }
-    Ok(ComplexityBaseline { build: BuildInfo::capture(), scenarios: out })
+    Ok(Baseline { build: gate::BuildInfo::capture(), scenarios: out })
 }
 
 // ---------------------------------------------------------------------
-// Serialization
+// Serialization and the exact rule
 // ---------------------------------------------------------------------
 
-fn json_fit(fit: Option<PowerFit>) -> (String, String) {
-    match fit {
-        None => ("null".to_string(), "null".to_string()),
-        Some(f) => (json_f64(f.exponent), json_f64(f.r2)),
+fn join<T: ToString>(xs: &[T]) -> String {
+    xs.iter().map(T::to_string).collect::<Vec<_>>().join(", ")
+}
+
+fn parse_series(c: &JsonValue, grid_len: usize) -> Result<CounterSeries, String> {
+    let counter = gate::text(c, "counter")?.to_string();
+    let counts = gate::uints(c, "counts").map_err(|e| format!("`{counter}`: {e}"))?;
+    if counts.len() != grid_len {
+        return Err(format!(
+            "`{counter}` has {} counts for {grid_len} grid points",
+            counts.len()
+        ));
     }
+    let fit = match (gate::num(c, "exponent"), gate::num(c, "r2")) {
+        (Ok(exponent), Ok(r2)) => Some(PowerFit { exponent, r2 }),
+        _ => None,
+    };
+    Ok(CounterSeries { counter, counts, fit })
 }
 
 impl ComplexityBaseline {
-    /// Canonical, human-diffable JSON (trailing newline included).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"schema\": \"{}\",\n", json_escape(COMPLEXITY_SCHEMA)));
-        out.push_str(&format!(
-            "  \"build\": {{\"version\": \"{}\", \"git\": \"{}\"}},\n",
-            json_escape(&self.build.version),
-            json_escape(&self.build.git),
-        ));
-        out.push_str("  \"scenarios\": {\n");
-        let n = self.scenarios.len();
-        for (i, (name, s)) in self.scenarios.iter().enumerate() {
-            let grid: Vec<String> = s.grid.iter().map(|g| g.to_string()).collect();
-            out.push_str(&format!(
-                "    \"{}\": {{\"grid\": [{}], \"counters\": [\n",
-                json_escape(name),
-                grid.join(", ")
-            ));
-            let m = s.counters.len();
-            for (j, c) in s.counters.iter().enumerate() {
-                let counts: Vec<String> = c.counts.iter().map(|v| v.to_string()).collect();
-                let (exponent, r2) = json_fit(c.fit);
-                out.push_str(&format!(
-                    "      {{\"counter\": \"{}\", \"counts\": [{}], \
-                     \"exponent\": {}, \"r2\": {}}}{}\n",
-                    json_escape(&c.counter),
-                    counts.join(", "),
-                    exponent,
-                    r2,
-                    if j + 1 < m { "," } else { "" },
-                ));
-            }
-            out.push_str(&format!("    ]}}{}\n", if i + 1 < n { "," } else { "" }));
-        }
-        out.push_str("  }\n}\n");
-        out
-    }
-
     /// The `(scenario, n, counter, count)` grid as CSV, for offline
     /// plotting (`qbss complexity record --format csv`).
     pub fn to_csv(&self) -> String {
@@ -424,309 +323,94 @@ impl ComplexityBaseline {
         }
         out
     }
+}
 
-    /// Parses a baseline produced by [`ComplexityBaseline::to_json`].
-    pub fn parse(input: &str) -> Result<ComplexityBaseline, ComplexityError> {
-        let bad = |reason: &str| ComplexityError::Parse(reason.to_string());
-        let v = json_parse(input).map_err(|e| ComplexityError::Parse(e.to_string()))?;
-        let schema = v.get("schema").and_then(JsonValue::as_str).unwrap_or_default();
-        if schema != COMPLEXITY_SCHEMA {
-            return Err(ComplexityError::Parse(format!(
-                "schema `{schema}` (expected `{COMPLEXITY_SCHEMA}`)"
-            )));
-        }
-        let build = match v.get("build") {
-            Some(b) => BuildInfo {
-                version: b
-                    .get("version")
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("unknown")
-                    .to_string(),
-                git: b.get("git").and_then(JsonValue::as_str).unwrap_or("unknown").to_string(),
-            },
-            None => BuildInfo { version: "unknown".into(), git: "unknown".into() },
-        };
-        let JsonValue::Obj(entries) =
-            v.get("scenarios").ok_or_else(|| bad("missing `scenarios`"))?
-        else {
-            return Err(bad("`scenarios` must be an object"));
-        };
-        let mut out = BTreeMap::new();
-        for (name, s) in entries {
-            let JsonValue::Arr(raw_grid) = s
-                .get("grid")
-                .ok_or_else(|| ComplexityError::Parse(format!("scenario `{name}`: missing `grid`")))?
-            else {
-                return Err(ComplexityError::Parse(format!(
-                    "scenario `{name}`: `grid` must be an array"
-                )));
-            };
-            let grid: Vec<usize> = raw_grid
-                .iter()
-                .map(|g| {
-                    g.as_u64().map(|u| u as usize).ok_or_else(|| {
-                        ComplexityError::Parse(format!("scenario `{name}`: non-integer grid point"))
-                    })
-                })
-                .collect::<Result<_, _>>()?;
-            let JsonValue::Arr(raw_counters) = s.get("counters").ok_or_else(|| {
-                ComplexityError::Parse(format!("scenario `{name}`: missing `counters`"))
-            })?
-            else {
-                return Err(ComplexityError::Parse(format!(
-                    "scenario `{name}`: `counters` must be an array"
-                )));
-            };
-            let mut counters = Vec::with_capacity(raw_counters.len());
-            for c in raw_counters {
-                let counter = c
-                    .get("counter")
-                    .and_then(JsonValue::as_str)
-                    .ok_or_else(|| {
-                        ComplexityError::Parse(format!(
-                            "scenario `{name}`: series missing `counter`"
-                        ))
-                    })?
-                    .to_string();
-                let JsonValue::Arr(raw_counts) = c.get("counts").ok_or_else(|| {
-                    ComplexityError::Parse(format!(
-                        "scenario `{name}`: `{counter}` missing `counts`"
-                    ))
-                })?
-                else {
-                    return Err(ComplexityError::Parse(format!(
-                        "scenario `{name}`: `{counter}` counts must be an array"
-                    )));
+impl Exact for ScenarioComplexity {
+    const SCHEMA: &'static str = COMPLEXITY_SCHEMA;
+    const KIND: &'static str = "complexity";
+    const UNIT: &'static str = "counter series";
+    const RECORD_FLAGS: &'static [&'static str] = &["format"];
+
+    fn record(names: &[String]) -> Result<ComplexityBaseline, GateError> {
+        record(names)
+    }
+
+    fn to_json(&self) -> String {
+        let rows: Vec<String> = self
+            .counters
+            .iter()
+            .map(|c| {
+                let (exponent, r2) = match c.fit {
+                    None => ("null".to_string(), "null".to_string()),
+                    Some(f) => (json_f64(f.exponent), json_f64(f.r2)),
                 };
-                let counts: Vec<u64> = raw_counts
-                    .iter()
-                    .map(|x| {
-                        x.as_u64().ok_or_else(|| {
-                            ComplexityError::Parse(format!(
-                                "scenario `{name}`: `{counter}` has a non-integer count"
-                            ))
-                        })
-                    })
-                    .collect::<Result<_, _>>()?;
-                if counts.len() != grid.len() {
-                    return Err(ComplexityError::Parse(format!(
-                        "scenario `{name}`: `{counter}` has {} counts for {} grid points",
-                        counts.len(),
-                        grid.len()
-                    )));
-                }
-                let fit = match (
-                    c.get("exponent").and_then(JsonValue::as_f64),
-                    c.get("r2").and_then(JsonValue::as_f64),
-                ) {
-                    (Some(exponent), Some(r2)) => Some(PowerFit { exponent, r2 }),
-                    _ => None,
-                };
-                counters.push(CounterSeries { counter, counts, fit });
-            }
-            out.insert(name.clone(), ScenarioComplexity { grid, counters });
-        }
-        Ok(ComplexityBaseline { build, scenarios: out })
-    }
-}
-
-// ---------------------------------------------------------------------
-// Comparison / gating
-// ---------------------------------------------------------------------
-
-/// One exact complexity regression.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ComplexityRegression {
-    /// Scenario name.
-    pub scenario: String,
-    /// Counter name (empty for scenario-level regressions).
-    pub counter: String,
-    /// What worsened: `"op count"`, `"exponent"`, `"scenario removed"`,
-    /// `"counter removed"`, or `"grid changed"`.
-    pub what: &'static str,
-    /// The grid point (n) for op-count regressions.
-    pub n: Option<usize>,
-    /// The committed value.
-    pub base: Option<f64>,
-    /// The freshly measured value.
-    pub new: Option<f64>,
-}
-
-/// Everything `qbss complexity compare` / `gate` reports.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ComplexityCompare {
-    /// Counter series checked (both sides present, same grid).
-    pub checked: usize,
-    /// Exact regressions, in scenario/counter order.
-    pub regressions: Vec<ComplexityRegression>,
-}
-
-fn fmt_val(what: &str, v: Option<f64>) -> String {
-    match v {
-        None => "-".to_string(),
-        Some(x) if what == "op count" => format!("{x:.0}"),
-        Some(x) => format!("{x:.3}"),
-    }
-}
-
-impl ComplexityCompare {
-    /// `true` when no series worsened.
-    pub fn is_clean(&self) -> bool {
-        self.regressions.is_empty()
+                format!(
+                    "{{\"counter\": \"{}\", \"counts\": [{}], \"exponent\": {exponent}, \
+                     \"r2\": {r2}}}",
+                    json_escape(&c.counter),
+                    join(&c.counts)
+                )
+            })
+            .collect();
+        gate::json_rows(&format!("\"grid\": [{}]", join(&self.grid)), "counters", &rows)
     }
 
-    /// Human-readable summary: one line per regression plus a verdict.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for r in &self.regressions {
-            let at = r.n.map_or(String::new(), |n| format!(" @ n={n}"));
-            let counter = if r.counter.is_empty() { "-" } else { &r.counter };
-            out.push_str(&format!(
-                "{}  {}  {}{}  {} -> {}  WORSE\n",
-                r.scenario,
-                counter,
-                r.what,
-                at,
-                fmt_val(r.what, r.base),
-                fmt_val(r.what, r.new)
-            ));
-        }
-        if self.is_clean() {
-            out.push_str(&format!(
-                "no complexity regression ({} counter series checked)\n",
-                self.checked
-            ));
-        } else {
-            out.push_str(&format!("{} complexity regression(s)\n", self.regressions.len()));
-        }
-        out
+    fn parse(v: &JsonValue) -> Result<Self, String> {
+        let grid: Vec<usize> = gate::uints(v, "grid")?.into_iter().map(|g| g as usize).collect();
+        let counters = gate::arr(v, "counters")?
+            .iter()
+            .map(|c| parse_series(c, grid.len()))
+            .collect::<Result<_, _>>()?;
+        Ok(ScenarioComplexity { grid, counters })
     }
 
-    /// Diagnostic rendering: every regression with the counter, grid
-    /// point, and old → new values spelled out.
-    pub fn render_explain(&self) -> String {
-        let mut out = String::new();
-        for r in &self.regressions {
-            match r.what {
-                "op count" => {
-                    let n = r.n.map_or("-".to_string(), |n| n.to_string());
-                    out.push_str(&format!(
-                        "scenario `{}` counter `{}`: op count at n={} worsened {} -> {}\n",
-                        r.scenario,
-                        r.counter,
-                        n,
-                        fmt_val(r.what, r.base),
-                        fmt_val(r.what, r.new)
-                    ));
-                }
-                "exponent" => {
-                    out.push_str(&format!(
-                        "scenario `{}` counter `{}`: fitted exponent worsened {} -> {} \
-                         (tolerance +{EXPONENT_TOL})\n",
-                        r.scenario,
-                        r.counter,
-                        fmt_val(r.what, r.base),
-                        fmt_val(r.what, r.new)
-                    ));
-                }
-                _ => {
-                    let counter =
-                        if r.counter.is_empty() { String::new() } else { format!(" `{}`", r.counter) };
-                    out.push_str(&format!(
-                        "scenario `{}`{}: {}\n",
-                        r.scenario, counter, r.what
-                    ));
-                }
-            }
+    /// Counters are deterministic, so **any** increased op count at any
+    /// grid point regresses — no noise threshold. Fitted exponents get
+    /// [`EXPONENT_TOL`] slack (the fit is derived, not measured). A
+    /// dropped counter or a changed grid regresses too; series only
+    /// present in `new` are informational.
+    fn compare(name: &str, base: &Self, new: &Self, out: &mut Vec<Finding>) -> usize {
+        if base.grid != new.grid {
+            // Counts at different sizes don't compare.
+            out.push(Finding::new(name, "", "grid changed"));
+            return 0;
         }
-        if self.is_clean() {
-            out.push_str(&format!(
-                "no complexity regression ({} counter series checked, exact comparison)\n",
-                self.checked
-            ));
-        } else {
-            out.push_str(&format!("{} complexity regression(s)\n", self.regressions.len()));
-        }
-        out
-    }
-}
-
-/// Diffs `new` against `base`, exactly. Counters are deterministic, so
-/// **any** increased op count at any grid point is a regression — no
-/// noise threshold. Fitted exponents get [`EXPONENT_TOL`] slack (the
-/// fit is derived, not measured). Dropped scenarios or counters, or a
-/// changed grid, regress too: coverage must not silently shrink.
-/// Series only present in `new` are informational.
-pub fn compare(base: &ComplexityBaseline, new: &ComplexityBaseline) -> ComplexityCompare {
-    let mut report = ComplexityCompare::default();
-    for (name, b) in &base.scenarios {
-        let Some(n) = new.scenarios.get(name) else {
-            report.regressions.push(ComplexityRegression {
-                scenario: name.clone(),
-                counter: String::new(),
-                what: "scenario removed",
-                n: None,
-                base: None,
-                new: None,
-            });
-            continue;
-        };
-        if b.grid != n.grid {
-            report.regressions.push(ComplexityRegression {
-                scenario: name.clone(),
-                counter: String::new(),
-                what: "grid changed",
-                n: None,
-                base: Some(b.grid.len() as f64),
-                new: Some(n.grid.len() as f64),
-            });
-            continue; // counts at different sizes don't compare
-        }
-        for bc in &b.counters {
-            let Some(nc) = n.counters.iter().find(|c| c.counter == bc.counter) else {
-                report.regressions.push(ComplexityRegression {
-                    scenario: name.clone(),
-                    counter: bc.counter.clone(),
-                    what: "counter removed",
-                    n: None,
-                    base: None,
-                    new: None,
-                });
+        let mut checked = 0;
+        for bc in &base.counters {
+            let key = format!("counter `{}`", bc.counter);
+            let Some(nc) = new.counters.iter().find(|c| c.counter == bc.counter) else {
+                out.push(Finding::new(name, &key, "counter removed"));
                 continue;
             };
-            report.checked += 1;
-            for ((&gn, &bv), &nv) in b.grid.iter().zip(&bc.counts).zip(&nc.counts) {
+            checked += 1;
+            for ((&n, &bv), &nv) in base.grid.iter().zip(&bc.counts).zip(&nc.counts) {
                 if nv > bv {
-                    report.regressions.push(ComplexityRegression {
-                        scenario: name.clone(),
-                        counter: bc.counter.clone(),
-                        what: "op count",
-                        n: Some(gn),
-                        base: Some(bv as f64),
-                        new: Some(nv as f64),
-                    });
+                    let rule = format!("op count at n={n}");
+                    out.push(Finding::new(name, &key, &rule).values(bv as f64, nv as f64));
                 }
             }
             if let (Some(bf), Some(nf)) = (bc.fit, nc.fit) {
                 if nf.exponent > bf.exponent + EXPONENT_TOL {
-                    report.regressions.push(ComplexityRegression {
-                        scenario: name.clone(),
-                        counter: bc.counter.clone(),
-                        what: "exponent",
-                        n: None,
-                        base: Some(bf.exponent),
-                        new: Some(nf.exponent),
+                    let finding = Finding::new(name, &key, "fitted exponent");
+                    out.push(Finding {
+                        detail: Some(format!("tolerance +{EXPONENT_TOL}")),
+                        ..finding.values(bf.exponent, nf.exponent)
                     });
                 }
             }
         }
+        checked
     }
-    report
+
+    fn to_csv(baseline: &ComplexityBaseline) -> Option<String> {
+        Some(baseline.to_csv())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::{BuildInfo, Gate, Verdict};
 
     fn series(counter: &str, grid: &[usize], counts: &[u64]) -> CounterSeries {
         CounterSeries {
@@ -751,18 +435,20 @@ mod tests {
         }
     }
 
+    fn rules(report: &gate::Findings) -> Vec<&str> {
+        report.findings.iter().map(|f| f.rule.as_str()).collect()
+    }
+
     #[test]
     fn scenario_table_is_well_formed() {
         let all = scenarios();
         assert!(all.len() >= 6);
-        let mut names: Vec<&str> = all.iter().map(|s| s.name).collect();
-        names.dedup();
-        assert_eq!(names.len(), all.len(), "names must be unique");
         assert!(scenario("yds-offline").is_some());
         assert!(scenario("nope").is_none());
-        for s in &all {
-            assert!(s.grid.len() >= 2, "{}: need >= 2 grid points for a fit", s.name);
-            assert!(s.grid.windows(2).all(|w| w[0] < w[1]), "{}: grid must grow", s.name);
+        for s in all {
+            let grid = s.work.grid;
+            assert!(grid.len() >= 2, "{}: need >= 2 grid points for a fit", s.name);
+            assert!(grid.windows(2).all(|w| w[0] < w[1]), "{}: grid must grow", s.name);
         }
     }
 
@@ -816,11 +502,8 @@ mod tests {
 
     #[test]
     fn parse_rejects_foreign_or_broken_documents() {
-        assert!(matches!(ComplexityBaseline::parse("{}"), Err(ComplexityError::Parse(_))));
-        assert!(matches!(
-            ComplexityBaseline::parse("not json"),
-            Err(ComplexityError::Parse(_))
-        ));
+        assert!(matches!(ComplexityBaseline::parse("{}"), Err(GateError::Parse { .. })));
+        assert!(matches!(ComplexityBaseline::parse("not json"), Err(GateError::Parse { .. })));
         let wrong = "{\"schema\": \"qbss-complexity-baseline/999\", \"scenarios\": {}}";
         let err = ComplexityBaseline::parse(wrong).expect_err("wrong schema");
         assert!(err.to_string().contains("schema"), "{err}");
@@ -840,7 +523,7 @@ mod tests {
     fn identical_baselines_are_clean() {
         let grid = vec![100usize, 200];
         let b = baseline(&[("a", grid.clone(), vec![series("x.ops", &grid, &[5, 10])])]);
-        let report = compare(&b, &b.clone());
+        let report = ComplexityBaseline::compare(&b, &b.clone());
         assert!(report.is_clean());
         assert_eq!(report.checked, 1);
         assert!(report.render().contains("no complexity regression"));
@@ -851,17 +534,15 @@ mod tests {
         let grid = vec![100usize, 200];
         let base = baseline(&[("a", grid.clone(), vec![series("x.ops", &grid, &[100, 200])])]);
         let new = baseline(&[("a", grid.clone(), vec![series("x.ops", &grid, &[100, 201])])]);
-        let report = compare(&base, &new);
-        assert_eq!(report.regressions.len(), 1, "{report:?}");
-        let r = &report.regressions[0];
-        assert_eq!((r.what, r.n), ("op count", Some(200)));
+        let report = ComplexityBaseline::compare(&base, &new);
+        assert_eq!(rules(&report), ["op count at n=200"], "{report:?}");
         let out = report.render_explain();
         assert!(out.contains("counter `x.ops`"), "{out}");
         assert!(out.contains("n=200"), "{out}");
         assert!(out.contains("200 -> 201"), "{out}");
         // A decrease is an improvement, not a regression.
         let better = baseline(&[("a", grid.clone(), vec![series("x.ops", &grid, &[90, 180])])]);
-        assert!(compare(&base, &better).is_clean());
+        assert!(ComplexityBaseline::compare(&base, &better).is_clean());
     }
 
     #[test]
@@ -875,10 +556,11 @@ mod tests {
             grid.clone(),
             vec![series("x.ops", &grid, &[10000, 40000, 160000])],
         )]);
-        let report = compare(&base, &new);
-        assert!(report.regressions.iter().any(|r| r.what == "exponent"), "{report:?}");
+        let report = ComplexityBaseline::compare(&base, &new);
+        assert!(rules(&report).contains(&"fitted exponent"), "{report:?}");
+        assert!(report.render_explain().contains("tolerance +0.05"), "{report:?}");
         // Within tolerance: counts identical, exponent equal — clean.
-        assert!(compare(&base, &base).is_clean());
+        assert!(ComplexityBaseline::compare(&base, &base).is_clean());
     }
 
     #[test]
@@ -893,17 +575,16 @@ mod tests {
             ("gone", grid.clone(), vec![series("z.ops", &grid, &[5, 6])]),
         ]);
         let new = baseline(&[("a", grid.clone(), vec![series("x.ops", &grid, &[1, 2])])]);
-        let report = compare(&base, &new);
-        let whats: Vec<&str> = report.regressions.iter().map(|r| r.what).collect();
-        assert!(whats.contains(&"scenario removed"), "{whats:?}");
-        assert!(whats.contains(&"counter removed"), "{whats:?}");
+        let report = ComplexityBaseline::compare(&base, &new);
+        assert!(rules(&report).contains(&"scenario removed"), "{report:?}");
+        assert!(rules(&report).contains(&"counter removed"), "{report:?}");
         // A changed grid makes counts incomparable — also a regression.
         let regridded = baseline(&[
             ("a", vec![100, 300], vec![series("x.ops", &[100, 300], &[1, 2])]),
             ("gone", grid.clone(), vec![series("z.ops", &grid, &[5, 6])]),
         ]);
-        let report = compare(&base, &regridded);
-        assert!(report.regressions.iter().any(|r| r.what == "grid changed"), "{report:?}");
+        let report = ComplexityBaseline::compare(&base, &regridded);
+        assert!(rules(&report).contains(&"grid changed"), "{report:?}");
         // New-only series are informational, never regressions.
         let extra = baseline(&[
             (
@@ -917,13 +598,13 @@ mod tests {
             ),
             ("gone", grid.clone(), vec![series("z.ops", &grid, &[5, 6])]),
         ]);
-        assert!(compare(&base, &extra).is_clean());
+        assert!(ComplexityBaseline::compare(&base, &extra).is_clean());
     }
 
     #[test]
     fn unknown_scenario_is_rejected() {
         let err = record(&["bogus".to_string()]).expect_err("unknown scenario");
-        assert!(matches!(err, ComplexityError::UnknownScenario(_)));
+        assert!(matches!(err, GateError::UnknownScenario { .. }));
         assert!(err.to_string().contains("yds-offline"), "{err}");
     }
 }

@@ -18,15 +18,17 @@
 //! non-zero if a *proven* bound is violated by a measurement (so the
 //! harness doubles as an acceptance test).
 //!
-//! This crate also hosts the performance benches
-//! (`cargo bench -p qbss-bench`), built on the dependency-free
-//! [`timing`] harness.
+//! This crate also hosts the three regression observatories behind
+//! `qbss perf|quality|complexity` — [`perf`] (wall clock),
+//! [`quality`] (competitive ratios) and [`complexity`] (op counts) —
+//! and the [`gate`] core they share.
 
 #![warn(missing_docs)]
 
 pub mod complexity;
 pub mod engine;
 pub mod ensemble;
+pub mod gate;
 pub mod par;
 pub mod perf;
 pub mod quality;
@@ -34,19 +36,18 @@ pub mod request;
 pub mod search;
 pub mod stream;
 pub mod table;
-pub mod timing;
 
 pub use engine::{
     run_sweep, run_sweep_audited, CellMetrics, CellRecord, Digest, EngineError, EngineReport,
     GroupAggregate, InstanceSource, Instrumentation, StreamAgg, SweepSpec,
 };
 pub use engine::WorstCell;
-pub use complexity::{ComplexityBaseline, ComplexityCompare, ComplexityError};
+pub use complexity::ComplexityBaseline;
 pub use ensemble::{measure_ensemble, EnsembleReport};
-pub use quality::{BuildInfo, QualityBaseline, QualityCompare, QualityError};
+pub use gate::{BuildInfo, GateError};
+pub use quality::QualityBaseline;
 pub use par::{par_map, par_map_seeds, par_map_stealing};
 pub use request::{RequestError, SweepRequest};
 pub use search::coordinate_ascent;
 pub use stream::StreamSession;
 pub use table::Table;
-pub use timing::BenchGroup;

@@ -1,23 +1,24 @@
 //! Statistical perf baselines: named sweep scenarios, warmup + repeat
 //! measurement, and a noise-aware regression gate.
 //!
-//! `qbss perf record` runs every requested [`Scenario`] through the
-//! sharded engine with `warmup` discarded runs followed by `repeats`
-//! timed ones, and serializes median / MAD / min wall times plus an
-//! environment fingerprint into a canonical baseline JSON
-//! (`BENCH_baseline.json` in the repo root). `qbss perf compare` diffs
-//! two baselines; `qbss perf gate` turns a regression into exit code 3
-//! so CI can enforce it.
+//! `qbss perf record` runs every requested scenario through the sharded
+//! engine with `warmup` discarded runs followed by `repeats` timed ones,
+//! and serializes median / MAD / min wall times plus an environment
+//! fingerprint into a canonical baseline JSON (`BENCH_baseline.json` in
+//! the repo root), optionally with per-scenario span profiles and work
+//! counters. The record/compare/gate protocol itself lives in
+//! [`crate::gate`]; this module keeps the measurement, the document and
+//! the rule.
 //!
-//! The regression rule is deliberately noise-aware: a scenario regresses
-//! only when the new median exceeds the old one by more than
-//! `max(mad_factor · MAD, min_rel · median)` — MAD (median absolute
+//! The rule is deliberately noise-aware: a scenario regresses only when
+//! the new median exceeds the old one by more than
+//! `max(MAD_FACTOR · MAD, MIN_REL · median)` — MAD (median absolute
 //! deviation) is a robust spread estimate, and the relative floor keeps
-//! 1-core CI hosts with near-zero MAD from flaking. Defaults
-//! ([`Threshold::default`]) are 3×MAD with a 25% floor.
+//! 1-core CI hosts with near-zero MAD from flaking. A regressed scenario
+//! is blamed on the call paths whose self time moved past the same
+//! slack, and cross-checked against its exact work counters.
 
 use std::collections::BTreeMap;
-use std::fmt;
 use std::time::Instant;
 
 use qbss_core::model::QbssInstance;
@@ -26,7 +27,8 @@ use qbss_instances::gen::{generate, Compressibility, GenConfig, QueryModel, Time
 use qbss_telemetry::profile::{PathDelta, Profile, PROFILE_SCHEMA};
 use qbss_telemetry::{json_escape, json_f64, json_parse, JsonValue, RingSink};
 
-use crate::engine::{run_sweep, EngineError, InstanceSource, SweepSpec};
+use crate::engine::{run_sweep, InstanceSource, SweepSpec};
+use crate::gate::{self, Gate, GateError, Scenario, Verdict, WorkMark};
 
 /// The on-disk schema tag; bump on incompatible baseline changes.
 pub const BASELINE_SCHEMA: &str = "qbss-perf-baseline/1";
@@ -35,20 +37,11 @@ pub const BASELINE_SCHEMA: &str = "qbss-perf-baseline/1";
 // Scenarios
 // ---------------------------------------------------------------------
 
-/// A named, fully pinned workload. Everything about it is deterministic
-/// (seeded generators, fixed grids); only wall time varies between runs.
+/// What a scenario runs when timed. Everything about it is
+/// deterministic (seeded generators, fixed grids); only wall time varies
+/// between runs.
 #[derive(Debug, Clone, Copy)]
-pub struct Scenario {
-    /// Stable name (the baseline JSON key and the `--scenarios` token).
-    pub name: &'static str,
-    /// One-line description for `qbss perf record` output.
-    pub description: &'static str,
-    kind: Kind,
-}
-
-/// What a scenario actually runs when timed.
-#[derive(Debug, Clone, Copy)]
-enum Kind {
+pub enum Kind {
     /// A sweep through the sharded engine (OPT substrate, caches,
     /// aggregation — the end-to-end cost a `qbss sweep` user pays).
     Sweep(fn() -> SweepSpec),
@@ -87,7 +80,7 @@ impl Prepared {
     }
 
     /// Runs the workload once (one timed or warmup repetition).
-    fn run_once(&self, shards: usize) -> Result<(), PerfError> {
+    fn run_once(&self, shards: usize) -> Result<(), GateError> {
         match self {
             Prepared::Sweep(spec) => {
                 run_sweep(spec, shards)?;
@@ -95,7 +88,7 @@ impl Prepared {
             Prepared::Eval(spec) => {
                 for inst in &spec.instances {
                     run_evaluated(inst, spec.alpha, spec.alg)
-                        .map_err(|e| PerfError::Cell(e.to_string()))?;
+                        .map_err(|e| GateError::Cells(e.to_string()))?;
                 }
             }
         }
@@ -103,11 +96,11 @@ impl Prepared {
     }
 }
 
-impl Scenario {
+impl Kind {
     /// The pinned sweep spec this scenario measures, or `None` for
     /// direct-evaluation scenarios that bypass the engine.
     pub fn spec(&self) -> Option<SweepSpec> {
-        match self.kind {
+        match self {
             Kind::Sweep(build) => Some(build()),
             Kind::Eval(_) => None,
         }
@@ -115,7 +108,7 @@ impl Scenario {
 
     /// Builds the workload (generating instances for eval scenarios).
     fn prepare(&self) -> Prepared {
-        match self.kind {
+        match self {
             Kind::Sweep(build) => Prepared::Sweep(build()),
             Kind::Eval(build) => Prepared::Eval(build()),
         }
@@ -223,45 +216,49 @@ fn stream_large() -> EvalSpec {
     }
 }
 
+/// A named, fully pinned perf workload.
+pub type PerfScenario = Scenario<Kind>;
+
 /// Every named scenario, in canonical order.
-pub fn scenarios() -> Vec<Scenario> {
-    vec![
+pub fn scenarios() -> &'static [PerfScenario] {
+    const TABLE: &[PerfScenario] = &[
         Scenario {
             name: "ci-small",
             description: "3 online algorithms × 2 α × 400 common-deadline instances (n=10)",
-            kind: Kind::Sweep(ci_small),
+            work: Kind::Sweep(ci_small),
         },
         Scenario {
             name: "engine-all",
             description: "all 9 configurations × 2 α × 8 common-deadline instances (n=8)",
-            kind: Kind::Sweep(engine_all),
+            work: Kind::Sweep(engine_all),
         },
         Scenario {
             name: "online-large",
             description: "3 online algorithms × 16 online instances (n=40)",
-            kind: Kind::Sweep(online_large),
+            work: Kind::Sweep(online_large),
         },
         Scenario {
             name: "multi-machine",
             description: "3 multi-machine configurations (m=3) × 8 online instances (n=16)",
-            kind: Kind::Sweep(multi_machine),
+            work: Kind::Sweep(multi_machine),
         },
         Scenario {
             name: "serve-sweep",
             description: "the loadgen /sweep payload: avrq+bkpq × 2 α × 3 instances (n=8)",
-            kind: Kind::Sweep(serve_sweep),
+            work: Kind::Sweep(serve_sweep),
         },
         Scenario {
             name: "stream-large",
             description: "the OA arrival path: oaq × 2 dense online instances (n=1200)",
-            kind: Kind::Eval(stream_large),
+            work: Kind::Eval(stream_large),
         },
-    ]
+    ];
+    TABLE
 }
 
 /// Looks up a scenario by name.
-pub fn scenario(name: &str) -> Option<Scenario> {
-    scenarios().into_iter().find(|s| s.name == name)
+pub fn scenario(name: &str) -> Option<PerfScenario> {
+    gate::find(scenarios(), name)
 }
 
 // ---------------------------------------------------------------------
@@ -377,43 +374,6 @@ pub struct Baseline {
 /// Schema tag of the optional `work_counters` baseline section.
 pub const WORK_SCHEMA: &str = "qbss-perf-work/1";
 
-/// Failures of the perf layer.
-#[derive(Debug)]
-pub enum PerfError {
-    /// `--scenarios` named something that doesn't exist.
-    UnknownScenario(String),
-    /// A baseline file didn't match the schema.
-    Parse(String),
-    /// The engine rejected a scenario spec (a bug in the scenario
-    /// table).
-    Engine(EngineError),
-    /// A direct-evaluation scenario cell failed (a bug in the scenario
-    /// table).
-    Cell(String),
-}
-
-impl fmt::Display for PerfError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PerfError::UnknownScenario(name) => {
-                let known: Vec<&str> = scenarios().iter().map(|s| s.name).collect();
-                write!(f, "unknown scenario `{name}` (expected one of: {})", known.join(", "))
-            }
-            PerfError::Parse(reason) => write!(f, "invalid perf baseline: {reason}"),
-            PerfError::Engine(e) => write!(f, "scenario failed to run: {e}"),
-            PerfError::Cell(reason) => write!(f, "scenario cell failed to run: {reason}"),
-        }
-    }
-}
-
-impl std::error::Error for PerfError {}
-
-impl From<EngineError> for PerfError {
-    fn from(e: EngineError) -> Self {
-        PerfError::Engine(e)
-    }
-}
-
 /// Median of `xs` (0 when empty). Robust location estimate: the average
 /// of the two middle order statistics for even lengths.
 pub fn median(xs: &[f64]) -> f64 {
@@ -442,7 +402,7 @@ pub fn mad(xs: &[f64], center: f64) -> f64 {
 
 /// Runs `names` (all scenarios when empty) under `config` and returns
 /// the recorded baseline (no profiles — see [`record_profiled`]).
-pub fn record(names: &[String], config: PerfConfig) -> Result<Baseline, PerfError> {
+pub fn record(names: &[String], config: PerfConfig) -> Result<Baseline, GateError> {
     record_profiled(names, config, None)
 }
 
@@ -457,20 +417,12 @@ pub fn record_profiled(
     names: &[String],
     config: PerfConfig,
     profile_ring: Option<&RingSink>,
-) -> Result<Baseline, PerfError> {
-    let picked: Vec<Scenario> = if names.is_empty() {
-        scenarios()
-    } else {
-        names
-            .iter()
-            .map(|n| scenario(n).ok_or_else(|| PerfError::UnknownScenario(n.clone())))
-            .collect::<Result<_, _>>()?
-    };
+) -> Result<Baseline, GateError> {
     let mut stats = BTreeMap::new();
     let mut profiles = BTreeMap::new();
     let mut work_counters = BTreeMap::new();
-    for sc in picked {
-        let prepared = sc.prepare();
+    for sc in gate::pick(scenarios(), names)? {
+        let prepared = sc.work.prepare();
         let cells = prepared.cells();
         let _span = qbss_telemetry::span!("perf.scenario", {
             scenario = sc.name,
@@ -490,28 +442,19 @@ pub fn record_profiled(
             // Work counters are deterministic per run, so bracketing
             // the first timed repeat captures the scenario's exact
             // per-run op counts with no extra execution.
-            let counters_before =
-                (rep == 0).then(|| qbss_telemetry::metrics().counter_values());
+            let mark = (rep == 0).then(WorkMark::now);
             let t0 = Instant::now();
             prepared.run_once(config.shards)?;
             samples_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-            if let Some(before) = counters_before {
-                let after = qbss_telemetry::metrics().counter_values();
-                let delta: BTreeMap<String, u64> = after
-                    .into_iter()
-                    .filter(|(name, _)| qbss_core::work::is_work_counter(name))
-                    .map(|(name, v)| {
-                        let d = v - before.get(&name).copied().unwrap_or(0);
-                        (name, d)
-                    })
-                    .filter(|&(_, d)| d > 0)
-                    .collect();
-                work_counters.insert(sc.name.to_string(), delta);
+            if let Some(mark) = mark {
+                work_counters.insert(sc.name.to_string(), mark.delta());
             }
             if let Some(ring) = profile_ring {
-                let jsonl = ring.drain_contents();
-                let records = qbss_telemetry::trace::parse_trace(&jsonl)
-                    .map_err(|e| PerfError::Parse(format!("profile ring: {e}")))?;
+                let records = qbss_telemetry::trace::parse_trace(&ring.drain_contents())
+                    .map_err(|e| GateError::Parse {
+                        kind: "perf",
+                        reason: format!("profile ring: {e}"),
+                    })?;
                 span_records.extend(records);
             }
         }
@@ -546,239 +489,224 @@ pub fn record_profiled(
 // Serialization
 // ---------------------------------------------------------------------
 
-impl Baseline {
-    /// Canonical, human-diffable JSON (trailing newline included).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"schema\": \"{}\",\n", json_escape(BASELINE_SCHEMA)));
-        out.push_str(&format!(
-            "  \"env\": {{\"host\": \"{}\", \"os\": \"{}\", \"arch\": \"{}\", \
-             \"cores\": {}, \"rustc\": \"{}\"}},\n",
+/// An optional schema-tagged section (`profiles`, `work_counters`):
+/// `,\n  "key": {schema, scenarios}`.
+fn section_json<'a>(
+    key: &str,
+    schema: &str,
+    entries: impl IntoIterator<Item = (&'a String, String)>,
+) -> String {
+    format!(
+        ",\n  \"{key}\": {{\n    \"schema\": \"{}\",\n    \"scenarios\": {}\n  }}",
+        json_escape(schema),
+        gate::json_object("    ", entries)
+    )
+}
+
+/// The `scenarios` entries of an optional schema-tagged section; none
+/// when the section is absent.
+fn section<'a>(
+    v: &'a JsonValue,
+    key: &str,
+    schema: &str,
+) -> Result<&'a [(String, JsonValue)], String> {
+    let Some(s) = v.get(key) else { return Ok(&[]) };
+    gate::check_schema(s, schema).map_err(|e| format!("{key} {e}"))?;
+    gate::obj(s, "scenarios").map_err(|e| format!("`{key}`: {e}"))
+}
+
+fn parse_stats(s: &JsonValue) -> Result<ScenarioStats, String> {
+    let samples_ms = gate::arr(s, "samples_ms")?
+        .iter()
+        .map(|x| x.as_f64().ok_or("non-numeric sample"))
+        .collect::<Result<_, _>>()?;
+    Ok(ScenarioStats {
+        cells: s.get("cells").and_then(JsonValue::as_u64).unwrap_or(0) as usize,
+        samples_ms,
+        median_ms: gate::num(s, "median_ms")?,
+        mad_ms: gate::num(s, "mad_ms")?,
+        min_ms: gate::num(s, "min_ms")?,
+    })
+}
+
+impl Gate for Baseline {
+    const KIND: &'static str = "perf";
+    type Report = CompareReport;
+
+    fn to_json(&self) -> String {
+        let scenarios = gate::json_object(
+            "  ",
+            self.scenarios.iter().map(|(name, s)| {
+                let samples: Vec<String> = s.samples_ms.iter().map(|&x| json_f64(x)).collect();
+                let body = format!(
+                    "{{\"cells\": {}, \"median_ms\": {}, \"mad_ms\": {}, \"min_ms\": {}, \
+                     \"samples_ms\": [{}]}}",
+                    s.cells,
+                    json_f64(s.median_ms),
+                    json_f64(s.mad_ms),
+                    json_f64(s.min_ms),
+                    samples.join(", ")
+                );
+                (name, body)
+            }),
+        );
+        let mut out = format!(
+            "{{\n  \"schema\": \"{}\",\n  \"env\": {{\"host\": \"{}\", \"os\": \"{}\", \
+             \"arch\": \"{}\", \"cores\": {}, \"rustc\": \"{}\"}},\n  \"config\": \
+             {{\"warmup\": {}, \"repeats\": {}, \"shards\": {}}},\n  \"scenarios\": {scenarios}",
+            json_escape(BASELINE_SCHEMA),
             json_escape(&self.env.host),
             json_escape(&self.env.os),
             json_escape(&self.env.arch),
             self.env.cores,
             json_escape(&self.env.rustc),
-        ));
-        out.push_str(&format!(
-            "  \"config\": {{\"warmup\": {}, \"repeats\": {}, \"shards\": {}}},\n",
-            self.config.warmup, self.config.repeats, self.config.shards
-        ));
-        out.push_str("  \"scenarios\": {\n");
-        let n = self.scenarios.len();
-        for (i, (name, s)) in self.scenarios.iter().enumerate() {
-            let samples = s
-                .samples_ms
-                .iter()
-                .map(|&x| json_f64(x))
-                .collect::<Vec<_>>()
-                .join(", ");
-            out.push_str(&format!(
-                "    \"{}\": {{\"cells\": {}, \"median_ms\": {}, \"mad_ms\": {}, \
-                 \"min_ms\": {}, \"samples_ms\": [{samples}]}}{}\n",
-                json_escape(name),
-                s.cells,
-                json_f64(s.median_ms),
-                json_f64(s.mad_ms),
-                json_f64(s.min_ms),
-                if i + 1 < n { "," } else { "" },
-            ));
-        }
-        out.push_str("  }");
+            self.config.warmup,
+            self.config.repeats,
+            self.config.shards,
+        );
+        // Optional sections: baselines recorded without them (and
+        // every older baseline) omit them and still parse.
         if !self.profiles.is_empty() {
-            // Schema-versioned, optional: baselines recorded without
-            // --profile (and every pre-profiling baseline) omit it.
-            out.push_str(",\n  \"profiles\": {\n");
-            out.push_str(&format!("    \"schema\": \"{}\",\n", json_escape(PROFILE_SCHEMA)));
-            out.push_str("    \"scenarios\": {\n");
-            let n = self.profiles.len();
-            for (i, (name, p)) in self.profiles.iter().enumerate() {
-                out.push_str(&format!(
-                    "      \"{}\": {}{}\n",
-                    json_escape(name),
-                    p.to_json(),
-                    if i + 1 < n { "," } else { "" },
-                ));
-            }
-            out.push_str("    }\n  }");
+            let entries = self.profiles.iter().map(|(name, p)| (name, p.to_json()));
+            out.push_str(&section_json("profiles", PROFILE_SCHEMA, entries));
         }
         if !self.work_counters.is_empty() {
-            // Same optional-section shape as `profiles`: pre-observatory
-            // baselines omit it and still parse.
-            out.push_str(",\n  \"work_counters\": {\n");
-            out.push_str(&format!("    \"schema\": \"{}\",\n", json_escape(WORK_SCHEMA)));
-            out.push_str("    \"scenarios\": {\n");
-            let n = self.work_counters.len();
-            for (i, (name, counters)) in self.work_counters.iter().enumerate() {
-                let body: Vec<String> = counters
-                    .iter()
-                    .map(|(c, v)| format!("\"{}\": {v}", json_escape(c)))
-                    .collect();
-                out.push_str(&format!(
-                    "      \"{}\": {{{}}}{}\n",
-                    json_escape(name),
-                    body.join(", "),
-                    if i + 1 < n { "," } else { "" },
-                ));
-            }
-            out.push_str("    }\n  }");
+            let entries = self.work_counters.iter().map(|(name, counters)| {
+                let body: Vec<String> =
+                    counters.iter().map(|(c, v)| format!("\"{}\": {v}", json_escape(c))).collect();
+                (name, format!("{{{}}}", body.join(", ")))
+            });
+            out.push_str(&section_json("work_counters", WORK_SCHEMA, entries));
         }
-        out.push_str("\n}\n");
-        out
+        out + "\n}\n"
     }
 
-    /// Parses a baseline produced by [`Baseline::to_json`].
-    pub fn parse(input: &str) -> Result<Baseline, PerfError> {
-        let bad = |reason: &str| PerfError::Parse(reason.to_string());
-        let v = json_parse(input).map_err(|e| PerfError::Parse(e.to_string()))?;
-        let schema = v.get("schema").and_then(JsonValue::as_str).unwrap_or_default();
-        if schema != BASELINE_SCHEMA {
-            return Err(PerfError::Parse(format!(
-                "schema `{schema}` (expected `{BASELINE_SCHEMA}`)"
-            )));
-        }
-        let env = v.get("env").ok_or_else(|| bad("missing `env`"))?;
-        let get_str = |obj: &JsonValue, key: &str| -> String {
-            obj.get(key).and_then(JsonValue::as_str).unwrap_or("unknown").to_string()
+    fn parse(input: &str) -> Result<Baseline, GateError> {
+        let bad = |reason: String| GateError::Parse { kind: "perf", reason };
+        let v = json_parse(input).map_err(bad)?;
+        gate::check_schema(&v, BASELINE_SCHEMA).map_err(bad)?;
+        let env = v.get("env").ok_or_else(|| bad("missing `env`".into()))?;
+        let field = |key: &str| {
+            env.get(key).and_then(JsonValue::as_str).unwrap_or("unknown").to_string()
         };
         let env = EnvFingerprint {
-            host: get_str(env, "host"),
-            os: get_str(env, "os"),
-            arch: get_str(env, "arch"),
+            host: field("host"),
+            os: field("os"),
+            arch: field("arch"),
             cores: env.get("cores").and_then(JsonValue::as_u64).unwrap_or(1) as usize,
-            rustc: get_str(env, "rustc"),
+            rustc: field("rustc"),
         };
-        let cfg = v.get("config").ok_or_else(|| bad("missing `config`"))?;
-        let get_usize = |obj: &JsonValue, key: &str, default: usize| -> usize {
-            obj.get(key).and_then(JsonValue::as_u64).map_or(default, |n| n as usize)
+        let cfg = v.get("config").ok_or_else(|| bad("missing `config`".into()))?;
+        let knob = |key: &str, default: u64| {
+            cfg.get(key).and_then(JsonValue::as_u64).unwrap_or(default) as usize
         };
         let config = PerfConfig {
-            warmup: get_usize(cfg, "warmup", 0),
-            repeats: get_usize(cfg, "repeats", 0),
-            shards: get_usize(cfg, "shards", 1),
-        };
-        let JsonValue::Obj(entries) = v.get("scenarios").ok_or_else(|| bad("missing `scenarios`"))?
-        else {
-            return Err(bad("`scenarios` must be an object"));
+            warmup: knob("warmup", 0),
+            repeats: knob("repeats", 0),
+            shards: knob("shards", 1),
         };
         let mut scenarios = BTreeMap::new();
-        for (name, s) in entries {
-            let need_f64 = |key: &str| -> Result<f64, PerfError> {
-                s.get(key).and_then(JsonValue::as_f64).ok_or_else(|| {
-                    PerfError::Parse(format!("scenario `{name}`: missing number `{key}`"))
-                })
-            };
-            let samples_ms = match s.get("samples_ms") {
-                Some(JsonValue::Arr(items)) => items
-                    .iter()
-                    .map(|x| {
-                        x.as_f64().ok_or_else(|| {
-                            PerfError::Parse(format!("scenario `{name}`: non-numeric sample"))
-                        })
-                    })
-                    .collect::<Result<Vec<f64>, _>>()?,
-                _ => {
-                    return Err(PerfError::Parse(format!(
-                        "scenario `{name}`: missing `samples_ms` array"
-                    )))
-                }
-            };
-            scenarios.insert(
-                name.clone(),
-                ScenarioStats {
-                    cells: s.get("cells").and_then(JsonValue::as_u64).unwrap_or(0) as usize,
-                    samples_ms,
-                    median_ms: need_f64("median_ms")?,
-                    mad_ms: need_f64("mad_ms")?,
-                    min_ms: need_f64("min_ms")?,
-                },
-            );
+        for (name, s) in gate::obj(&v, "scenarios").map_err(bad)? {
+            let stats = parse_stats(s).map_err(|e| bad(format!("scenario `{name}`: {e}")))?;
+            scenarios.insert(name.clone(), stats);
         }
         let mut profiles = BTreeMap::new();
-        if let Some(section) = v.get("profiles") {
-            let schema =
-                section.get("schema").and_then(JsonValue::as_str).unwrap_or_default();
-            if schema != PROFILE_SCHEMA {
-                return Err(PerfError::Parse(format!(
-                    "profiles schema `{schema}` (expected `{PROFILE_SCHEMA}`)"
-                )));
-            }
-            let JsonValue::Obj(entries) = section
-                .get("scenarios")
-                .ok_or_else(|| bad("`profiles` missing `scenarios`"))?
-            else {
-                return Err(bad("`profiles.scenarios` must be an object"));
-            };
-            for (name, p) in entries {
-                let profile = Profile::from_json(p).map_err(|e| {
-                    PerfError::Parse(format!("profile for scenario `{name}`: {e}"))
-                })?;
-                profiles.insert(name.clone(), profile);
-            }
+        for (name, p) in section(&v, "profiles", PROFILE_SCHEMA).map_err(bad)? {
+            let profile = Profile::from_json(p)
+                .map_err(|e| bad(format!("profile for scenario `{name}`: {e}")))?;
+            profiles.insert(name.clone(), profile);
         }
         let mut work_counters = BTreeMap::new();
-        if let Some(section) = v.get("work_counters") {
-            let schema =
-                section.get("schema").and_then(JsonValue::as_str).unwrap_or_default();
-            if schema != WORK_SCHEMA {
-                return Err(PerfError::Parse(format!(
-                    "work_counters schema `{schema}` (expected `{WORK_SCHEMA}`)"
-                )));
-            }
-            let JsonValue::Obj(entries) = section
-                .get("scenarios")
-                .ok_or_else(|| bad("`work_counters` missing `scenarios`"))?
-            else {
-                return Err(bad("`work_counters.scenarios` must be an object"));
+        for (name, c) in section(&v, "work_counters", WORK_SCHEMA).map_err(bad)? {
+            let JsonValue::Obj(counters) = c else {
+                return Err(bad(format!("work counters for scenario `{name}` must be an object")));
             };
-            for (name, c) in entries {
-                let JsonValue::Obj(counters) = c else {
-                    return Err(PerfError::Parse(format!(
-                        "work counters for scenario `{name}` must be an object"
-                    )));
-                };
-                let mut map = BTreeMap::new();
-                for (counter, value) in counters {
-                    let v = value.as_u64().ok_or_else(|| {
-                        PerfError::Parse(format!(
-                            "scenario `{name}` counter `{counter}`: non-integer count"
-                        ))
+            let counts = counters
+                .iter()
+                .map(|(counter, value)| {
+                    let count = value.as_u64().ok_or_else(|| {
+                        bad(format!("scenario `{name}` counter `{counter}`: non-integer count"))
                     })?;
-                    map.insert(counter.clone(), v);
-                }
-                work_counters.insert(name.clone(), map);
-            }
+                    Ok((counter.clone(), count))
+                })
+                .collect::<Result<_, GateError>>()?;
+            work_counters.insert(name.clone(), counts);
         }
         Ok(Baseline { env, config, scenarios, profiles, work_counters })
     }
-}
 
-// ---------------------------------------------------------------------
-// Comparison / gating
-// ---------------------------------------------------------------------
+    fn scenario_names(&self) -> Vec<String> {
+        self.scenarios.keys().cloned().collect()
+    }
 
-/// The noise-aware regression threshold (see module docs).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Threshold {
-    /// How many base-MADs of slack a scenario gets.
-    pub mad_factor: f64,
-    /// Relative floor on the slack, as a fraction of the base median.
-    pub min_rel: f64,
-}
-
-impl Default for Threshold {
-    fn default() -> Self {
-        Self { mad_factor: 3.0, min_rel: 0.25 }
+    /// Diffs `new` against `base` under the noise-aware rule. A scenario
+    /// present in `base` but missing from `new` counts as regressed
+    /// (coverage must not silently shrink); a scenario only in `new` is
+    /// informational.
+    fn compare(base: &Baseline, new: &Baseline) -> CompareReport {
+        let mut names: Vec<&String> = base.scenarios.keys().chain(new.scenarios.keys()).collect();
+        names.sort();
+        names.dedup();
+        let deltas = names
+            .into_iter()
+            .map(|name| {
+                let (b, n) = (base.scenarios.get(name), new.scenarios.get(name));
+                let (base_prof, new_prof) = (base.profiles.get(name), new.profiles.get(name));
+                let limit = b.filter(|_| n.is_some()).map(|b| limit_ms(b.median_ms, b.mad_ms));
+                let regressed = match (b, n, limit) {
+                    (Some(_), None, _) => true,
+                    (_, Some(n), Some(limit)) => n.median_ms > limit,
+                    _ => false,
+                };
+                // Blame and the counter cross-reference explain a
+                // measured regression, so both sides must be present.
+                let measured = regressed && limit.is_some();
+                let blame = match (measured, b, base_prof, new_prof) {
+                    (true, Some(b), Some(bp), Some(np)) => {
+                        blame_paths(bp, base.config.repeats, b.mad_ms, np, new.config.repeats)
+                    }
+                    _ => Vec::new(),
+                };
+                let counter_moves = match (
+                    measured,
+                    base.work_counters.get(name),
+                    new.work_counters.get(name),
+                ) {
+                    (true, Some(bc), Some(nc)) => Some(counter_moves(bc, nc)),
+                    _ => None,
+                };
+                ScenarioDelta {
+                    name: name.clone(),
+                    base_ms: b.map(|b| b.median_ms),
+                    base_mad_ms: b.map(|b| b.mad_ms),
+                    new_ms: n.map(|n| n.median_ms),
+                    limit_ms: limit,
+                    regressed,
+                    has_profiles: base_prof.is_some() && new_prof.is_some(),
+                    base_has_profile: base_prof.is_some(),
+                    blame,
+                    counter_moves,
+                }
+            })
+            .collect();
+        CompareReport { deltas }
     }
 }
 
-impl Threshold {
-    /// The slowest acceptable new median for a scenario with base
-    /// statistics `(median, mad)`.
-    pub fn limit_ms(&self, base_median_ms: f64, base_mad_ms: f64) -> f64 {
-        base_median_ms
-            + (self.mad_factor * base_mad_ms).max(self.min_rel * base_median_ms)
-    }
+// ---------------------------------------------------------------------
+// The noise-aware rule
+// ---------------------------------------------------------------------
+
+/// How many base MADs of slack a scenario (or call path) gets.
+pub const MAD_FACTOR: f64 = 3.0;
+
+/// Relative floor on the slack, as a fraction of the base median.
+pub const MIN_REL: f64 = 0.25;
+
+/// The slowest acceptable new median for a scenario with base
+/// statistics `(median, mad)`.
+pub fn limit_ms(base_median_ms: f64, base_mad_ms: f64) -> f64 {
+    base_median_ms + (MAD_FACTOR * base_mad_ms).max(MIN_REL * base_median_ms)
 }
 
 /// How many call paths a regression is attributed to at most.
@@ -864,9 +792,9 @@ fn counter_moves(
     base: &BTreeMap<String, u64>,
     new: &BTreeMap<String, u64>,
 ) -> Vec<CounterMove> {
-    let mut names: Vec<&String> = base.keys().collect();
-    names.extend(new.keys().filter(|k| !base.contains_key(*k)));
+    let mut names: Vec<&String> = base.keys().chain(new.keys()).collect();
     names.sort();
+    names.dedup();
     names
         .into_iter()
         .filter_map(|name| {
@@ -884,60 +812,53 @@ pub struct CompareReport {
     pub deltas: Vec<ScenarioDelta>,
 }
 
+impl ScenarioDelta {
+    fn verdict(&self) -> &'static str {
+        match (self.regressed, self.new_ms, self.base_ms) {
+            (true, _, _) => "REGRESSED",
+            (false, None, _) => "removed",
+            (false, _, None) => "new",
+            (false, _, _) => "ok",
+        }
+    }
+}
+
 impl CompareReport {
     /// The regressed scenarios.
     pub fn regressions(&self) -> Vec<&ScenarioDelta> {
         self.deltas.iter().filter(|d| d.regressed).collect()
     }
+}
 
-    /// Human-readable table: one line per scenario plus a verdict.
-    pub fn render(&self) -> String {
+impl Verdict for CompareReport {
+    fn is_clean(&self) -> bool {
+        self.regressions().is_empty()
+    }
+
+    /// One line per scenario plus the verdict.
+    fn render(&self) -> String {
+        let fmt = |v: Option<f64>| v.map_or("-".to_string(), |x| format!("{x:.1}"));
         let mut out = String::new();
         for d in &self.deltas {
-            let fmt_opt = |v: Option<f64>| {
-                v.map_or("-".to_string(), |x| format!("{x:.1}"))
-            };
-            let verdict = match (d.regressed, d.new_ms, d.base_ms) {
-                (true, _, _) => "REGRESSED",
-                (false, None, _) => "removed",
-                (false, _, None) => "new",
-                (false, _, _) => "ok",
-            };
             out.push_str(&format!(
                 "{}  base {} ms  new {} ms  limit {} ms  {}\n",
                 d.name,
-                fmt_opt(d.base_ms),
-                fmt_opt(d.new_ms),
-                fmt_opt(d.limit_ms),
-                verdict
+                fmt(d.base_ms),
+                fmt(d.new_ms),
+                fmt(d.limit_ms),
+                d.verdict()
             ));
         }
-        let regressed = self.regressions().len();
-        if regressed == 0 {
-            out.push_str("no perf regression\n");
-        } else {
-            out.push_str(&format!("{regressed} scenario(s) regressed\n"));
-        }
-        out
+        out + &self.summary() + "\n"
     }
 
     /// Diagnostic table: every number that feeds the gate decision, so
     /// a CI failure can be understood from the log alone. Columns are
-    /// the base median/MAD, the new median, the computed limit
-    /// (`base + max(mad_factor×MAD, min_rel×base)`), and the delta of
-    /// the new median against the base.
-    pub fn render_explain(&self, threshold: Threshold) -> String {
-        let fmt_opt = |v: Option<f64>| v.map_or("-".to_string(), |x| format!("{x:.2}"));
-        let fmt_delta = |d: &ScenarioDelta| match (d.base_ms, d.new_ms) {
-            (Some(b), Some(n)) => format!("{:+.2}", n - b),
-            _ => "-".to_string(),
-        };
-        let verdict = |d: &ScenarioDelta| match (d.regressed, d.new_ms, d.base_ms) {
-            (true, _, _) => "REGRESSED",
-            (false, None, _) => "removed",
-            (false, _, None) => "new",
-            (false, _, _) => "ok",
-        };
+    /// the base median/MAD, the new median, the computed limit and the
+    /// delta of the new median against the base; each regression then
+    /// gets its call-path blame and work-counter cross-check.
+    fn render_explain(&self) -> String {
+        let fmt = |v: Option<f64>| v.map_or("-".to_string(), |x| format!("{x:.2}"));
         let mut rows: Vec<[String; 7]> = vec![[
             "scenario".into(),
             "base ms".into(),
@@ -948,14 +869,18 @@ impl CompareReport {
             "verdict".into(),
         ]];
         for d in &self.deltas {
+            let delta = match (d.base_ms, d.new_ms) {
+                (Some(b), Some(n)) => format!("{:+.2}", n - b),
+                _ => "-".to_string(),
+            };
             rows.push([
                 d.name.clone(),
-                fmt_opt(d.base_ms),
-                fmt_opt(d.base_mad_ms),
-                fmt_opt(d.new_ms),
-                fmt_opt(d.limit_ms),
-                fmt_delta(d),
-                verdict(d).to_string(),
+                fmt(d.base_ms),
+                fmt(d.base_mad_ms),
+                fmt(d.new_ms),
+                fmt(d.limit_ms),
+                delta,
+                d.verdict().to_string(),
             ]);
         }
         let mut widths = [0usize; 7];
@@ -966,18 +891,12 @@ impl CompareReport {
         }
         let mut out = String::new();
         for row in &rows {
-            let line: Vec<String> = row
-                .iter()
-                .zip(&widths)
-                .map(|(cell, w)| format!("{cell:<w$}"))
-                .collect();
+            let line: Vec<String> =
+                row.iter().zip(&widths).map(|(cell, w)| format!("{cell:<w$}")).collect();
             out.push_str(line.join("  ").trim_end());
             out.push('\n');
         }
-        out.push_str(&format!(
-            "limit = base + max({}×mad, {}×base)\n",
-            threshold.mad_factor, threshold.min_rel
-        ));
+        out.push_str(&format!("limit = base + max({MAD_FACTOR}×mad, {MIN_REL}×base)\n"));
         for d in self.regressions() {
             if d.base_ms.is_none() || d.new_ms.is_none() {
                 continue; // appeared/disappeared — nothing to attribute
@@ -1035,13 +954,14 @@ impl CompareReport {
                 None => {} // no snapshots on one side; nothing to say
             }
         }
-        let regressed = self.regressions().len();
-        if regressed == 0 {
-            out.push_str("no perf regression\n");
-        } else {
-            out.push_str(&format!("{regressed} scenario(s) regressed\n"));
+        out + &self.summary() + "\n"
+    }
+
+    fn summary(&self) -> String {
+        match self.regressions().len() {
+            0 => "no perf regression".to_string(),
+            n => format!("{n} scenario(s) regressed"),
         }
-        out
     }
 }
 
@@ -1051,16 +971,15 @@ impl CompareReport {
 /// Profiles fold *all* timed repeats, so self times are normalized by
 /// each side's `repeats` before comparing. A path is blamed when its
 /// per-run self time grew by more than
-/// `max(mad_factor × base MAD, min_rel × base per-run self)` — the
-/// same slack shape the gate grants the scenario median, applied
-/// per path. Top [`BLAME_TOP_K`] by delta, largest first.
+/// `max(MAD_FACTOR × base MAD, MIN_REL × base per-run self)` — the same
+/// slack shape the gate grants the scenario median, applied per path.
+/// Top [`BLAME_TOP_K`] by delta, largest first.
 fn blame_paths(
     base: &Profile,
     base_repeats: usize,
     base_mad_ms: f64,
     new: &Profile,
     new_repeats: usize,
-    threshold: Threshold,
 ) -> Vec<PathBlame> {
     let base_runs = base_repeats.max(1) as f64;
     let new_runs = new_repeats.max(1) as f64;
@@ -1069,8 +988,7 @@ fn blame_paths(
         .filter_map(|d: PathDelta| {
             let base_self_ms = d.base_self_us as f64 / 1e3 / base_runs;
             let new_self_ms = d.new_self_us as f64 / 1e3 / new_runs;
-            let slack_ms =
-                (threshold.mad_factor * base_mad_ms).max(threshold.min_rel * base_self_ms);
+            let slack_ms = (MAD_FACTOR * base_mad_ms).max(MIN_REL * base_self_ms);
             if new_self_ms - base_self_ms <= slack_ms {
                 return None;
             }
@@ -1086,94 +1004,6 @@ fn blame_paths(
     blamed.sort_by(|a, b| b.delta_ms().total_cmp(&a.delta_ms()));
     blamed.truncate(BLAME_TOP_K);
     blamed
-}
-
-/// Diffs `new` against `base` under `threshold`. A scenario present in
-/// `base` but missing from `new` counts as regressed (coverage must not
-/// silently shrink); a scenario only in `new` is informational.
-pub fn compare(base: &Baseline, new: &Baseline, threshold: Threshold) -> CompareReport {
-    let mut names: Vec<&String> = base.scenarios.keys().collect();
-    for k in new.scenarios.keys() {
-        if !base.scenarios.contains_key(k) {
-            names.push(k);
-        }
-    }
-    names.sort();
-    let deltas = names
-        .into_iter()
-        .map(|name| {
-            let b = base.scenarios.get(name);
-            let n = new.scenarios.get(name);
-            let base_prof = base.profiles.get(name);
-            let new_prof = new.profiles.get(name);
-            let has_profiles = base_prof.is_some() && new_prof.is_some();
-            let base_has_profile = base_prof.is_some();
-            match (b, n) {
-                (Some(b), Some(n)) => {
-                    let limit = threshold.limit_ms(b.median_ms, b.mad_ms);
-                    let regressed = n.median_ms > limit;
-                    let blame = match (regressed, base_prof, new_prof) {
-                        (true, Some(bp), Some(np)) => blame_paths(
-                            bp,
-                            base.config.repeats,
-                            b.mad_ms,
-                            np,
-                            new.config.repeats,
-                            threshold,
-                        ),
-                        _ => Vec::new(),
-                    };
-                    // Counter cross-reference: only meaningful for a
-                    // regression, and only when both sides snapshot.
-                    let moves = match (
-                        regressed,
-                        base.work_counters.get(name),
-                        new.work_counters.get(name),
-                    ) {
-                        (true, Some(bc), Some(nc)) => Some(counter_moves(bc, nc)),
-                        _ => None,
-                    };
-                    ScenarioDelta {
-                        name: name.clone(),
-                        base_ms: Some(b.median_ms),
-                        base_mad_ms: Some(b.mad_ms),
-                        new_ms: Some(n.median_ms),
-                        limit_ms: Some(limit),
-                        regressed,
-                        has_profiles,
-                        base_has_profile,
-                        blame,
-                        counter_moves: moves,
-                    }
-                }
-                (Some(b), None) => ScenarioDelta {
-                    name: name.clone(),
-                    base_ms: Some(b.median_ms),
-                    base_mad_ms: Some(b.mad_ms),
-                    new_ms: None,
-                    limit_ms: None,
-                    regressed: true,
-                    has_profiles,
-                    base_has_profile,
-                    blame: Vec::new(),
-                    counter_moves: None,
-                },
-                (None, n) => ScenarioDelta {
-                    name: name.clone(),
-                    base_ms: None,
-                    base_mad_ms: None,
-                    new_ms: n.map(|n| n.median_ms),
-                    limit_ms: None,
-                    regressed: false,
-                    has_profiles,
-                    base_has_profile,
-                    blame: Vec::new(),
-                    counter_moves: None,
-                },
-            }
-        })
-        .collect();
-    CompareReport { deltas }
 }
 
 #[cfg(test)]
@@ -1250,8 +1080,8 @@ mod tests {
 
     #[test]
     fn parse_rejects_foreign_or_broken_documents() {
-        assert!(matches!(Baseline::parse("{}"), Err(PerfError::Parse(_))));
-        assert!(matches!(Baseline::parse("not json"), Err(PerfError::Parse(_))));
+        assert!(matches!(Baseline::parse("{}"), Err(GateError::Parse { .. })));
+        assert!(matches!(Baseline::parse("not json"), Err(GateError::Parse { .. })));
         let wrong = "{\"schema\": \"qbss-perf-baseline/999\", \"env\": {}, \
                      \"config\": {}, \"scenarios\": {}}";
         let err = Baseline::parse(wrong).expect_err("wrong schema");
@@ -1263,11 +1093,11 @@ mod tests {
         let base = baseline(&[("a", &[100.0, 102.0, 98.0])]);
         // Within the 25% floor: not a regression.
         let ok = baseline(&[("a", &[110.0, 112.0, 108.0])]);
-        let report = compare(&base, &ok, Threshold::default());
+        let report = Baseline::compare(&base, &ok);
         assert!(report.regressions().is_empty(), "{}", report.render());
         // 2× slowdown: regression.
         let slow = baseline(&[("a", &[200.0, 202.0, 198.0])]);
-        let report = compare(&base, &slow, Threshold::default());
+        let report = Baseline::compare(&base, &slow);
         assert_eq!(report.regressions().len(), 1);
         assert!(report.render().contains("REGRESSED"), "{}", report.render());
     }
@@ -1275,7 +1105,7 @@ mod tests {
     #[test]
     fn identical_baselines_never_regress() {
         let b = baseline(&[("a", &[50.0, 51.0]), ("b", &[7.0, 7.0, 7.0])]);
-        let report = compare(&b, &b.clone(), Threshold::default());
+        let report = Baseline::compare(&b, &b.clone());
         assert!(report.regressions().is_empty());
         assert!(report.render().contains("no perf regression"));
     }
@@ -1284,7 +1114,7 @@ mod tests {
     fn missing_scenario_is_a_regression_new_scenario_is_not() {
         let base = baseline(&[("a", &[50.0]), ("b", &[60.0])]);
         let new = baseline(&[("a", &[50.0]), ("c", &[10.0])]);
-        let report = compare(&base, &new, Threshold::default());
+        let report = Baseline::compare(&base, &new);
         let regressed: Vec<&str> =
             report.regressions().iter().map(|d| d.name.as_str()).collect();
         assert_eq!(regressed, ["b"], "dropped coverage must fail the gate");
@@ -1296,8 +1126,7 @@ mod tests {
     fn explain_table_carries_every_gate_input() {
         let base = baseline(&[("a", &[100.0, 102.0, 98.0]), ("gone", &[5.0])]);
         let new = baseline(&[("a", &[200.0, 202.0, 198.0]), ("fresh", &[1.0])]);
-        let t = Threshold::default();
-        let out = compare(&base, &new, t).render_explain(t);
+        let out = Baseline::compare(&base, &new).render_explain();
         // Header plus the three scenarios, then the limit formula.
         for needle in [
             "scenario", "base ms", "mad ms", "new ms", "limit ms", "delta ms", "verdict",
@@ -1367,10 +1196,9 @@ mod tests {
             "a",
             &[("yds.intervals_scanned", 1000)],
         );
-        let t = Threshold::default();
-        let report = compare(&base, &noisy, t);
+        let report = Baseline::compare(&base, &noisy);
         assert_eq!(report.deltas[0].counter_moves, Some(vec![]));
-        let out = report.render_explain(t);
+        let out = report.render_explain();
         assert!(out.contains("work counters unchanged — likely timer noise"), "{out}");
         // Same regression with moved counts: explain must name the
         // counter with old → new and the relative change.
@@ -1379,16 +1207,16 @@ mod tests {
             "a",
             &[("yds.intervals_scanned", 1380)],
         );
-        let report = compare(&base, &real, t);
+        let report = Baseline::compare(&base, &real);
         let moves = report.deltas[0].counter_moves.as_ref().expect("both sides snapshot");
         assert_eq!(moves.len(), 1);
         assert_eq!(moves[0].counter, "yds.intervals_scanned");
-        let out = report.render_explain(t);
+        let out = report.render_explain();
         assert!(out.contains("real work change"), "{out}");
         assert!(out.contains("yds.intervals_scanned  1000 → 1380 (+38%)"), "{out}");
         // No snapshot on one side: neither note appears.
         let bare = baseline(&[("a", &[300.0, 300.0])]);
-        let out = compare(&base, &bare, t).render_explain(t);
+        let out = Baseline::compare(&base, &bare).render_explain();
         assert!(!out.contains("timer noise") && !out.contains("real work change"), "{out}");
         // Non-regressed scenarios never carry the cross-reference.
         let fine = with_counters(
@@ -1396,7 +1224,7 @@ mod tests {
             "a",
             &[("yds.intervals_scanned", 1380)],
         );
-        assert_eq!(compare(&base, &fine, t).deltas[0].counter_moves, None);
+        assert_eq!(Baseline::compare(&base, &fine).deltas[0].counter_moves, None);
     }
 
     #[test]
@@ -1441,14 +1269,13 @@ mod tests {
             "a",
             "root 0 5\nroot;hot 950000 50\nroot;cold 50000 50\n",
         );
-        let t = Threshold::default();
-        let report = compare(&base, &new, t);
+        let report = Baseline::compare(&base, &new);
         let d = &report.deltas[0];
         assert!(d.regressed && d.has_profiles);
         assert_eq!(d.blame.len(), 1, "{:?}", d.blame);
         assert_eq!(d.blame[0].path, "root;hot");
         assert!((d.blame[0].delta_ms() - 100.0).abs() < 1e-9);
-        let out = report.render_explain(t);
+        let out = report.render_explain();
         assert!(out.contains("self-time attribution"), "{out}");
         assert!(out.contains("root;hot  +100.00 ms self (90.00 → 190.00)  count 50 → 50"), "{out}");
         assert!(!out.contains("root;cold"), "flat path must not be blamed:\n{out}");
@@ -1460,13 +1287,12 @@ mod tests {
         // explain output must say so, not just ask for --profile.
         let base = baseline(&[("a", &[100.0, 100.0])]);
         let new = baseline(&[("a", &[300.0, 300.0])]);
-        let t = Threshold::default();
-        let out = compare(&base, &new, t).render_explain(t);
+        let out = Baseline::compare(&base, &new).render_explain();
         assert!(out.contains("no profile data in baseline"), "{out}");
         // The base carries a profile, only the new run lacks one: the
         // fix lives on the recording side, and the note says which.
         let base = with_profile(base, "a", "root;hot 300000 3\n");
-        let out = compare(&base, &new, t).render_explain(t);
+        let out = Baseline::compare(&base, &new).render_explain();
         assert!(out.contains("record both baselines with --profile"), "{out}");
         assert!(!out.contains("no profile data in baseline"), "{out}");
     }
@@ -1485,40 +1311,35 @@ mod tests {
             "a",
             "root;hot 360000 3\n",  // +20 ms/run < 3×MAD = 30 ms
         );
-        let t = Threshold::default();
-        let report = compare(&base, &new, t);
+        let report = Baseline::compare(&base, &new);
         assert!(report.deltas[0].regressed);
         assert!(report.deltas[0].blame.is_empty());
-        let out = report.render_explain(t);
+        let out = report.render_explain();
         assert!(out.contains("no single call path moved past the noise threshold"), "{out}");
     }
 
     #[test]
     fn threshold_uses_the_larger_of_mad_and_relative_floor() {
-        let t = Threshold::default();
         // MAD-dominated: 3×10 = 30 > 25% of 100.
-        assert_eq!(t.limit_ms(100.0, 10.0), 130.0);
+        assert_eq!(limit_ms(100.0, 10.0), 130.0);
         // Floor-dominated: MAD 0 (quiet host) still gets 25%.
-        assert_eq!(t.limit_ms(100.0, 0.0), 125.0);
+        assert_eq!(limit_ms(100.0, 0.0), 125.0);
     }
 
     #[test]
     fn scenario_table_is_well_formed() {
         let all = scenarios();
         assert!(all.len() >= 4);
-        let mut names: Vec<&str> = all.iter().map(|s| s.name).collect();
-        names.dedup();
-        assert_eq!(names.len(), all.len(), "names must be unique");
         assert!(scenario("ci-small").is_some());
         assert!(scenario("stream-large").is_some());
         assert!(scenario("nope").is_none());
-        for s in &all {
-            match s.spec() {
+        for s in all {
+            match s.work.spec() {
                 Some(spec) => {
                     assert!(spec.n_cells() > 0, "{}: empty grid", s.name);
                     spec.validate().unwrap_or_else(|e| panic!("{}: {e}", s.name));
                 }
-                None => match s.prepare() {
+                None => match s.work.prepare() {
                     Prepared::Eval(spec) => {
                         assert!(!spec.instances.is_empty(), "{}: no instances", s.name);
                         for inst in &spec.instances {
@@ -1535,7 +1356,7 @@ mod tests {
     fn stream_large_is_session_scale() {
         // The acceptance bar for the streaming engine: the blessed
         // scenario must exercise ≥ 1k-job instances through OA.
-        let Prepared::Eval(spec) = scenario("stream-large").expect("known").prepare() else {
+        let Prepared::Eval(spec) = scenario("stream-large").expect("known").work.prepare() else {
             panic!("stream-large must be a direct-evaluation scenario");
         };
         assert!(matches!(spec.alg, Algorithm::Oaq));
@@ -1556,6 +1377,6 @@ mod tests {
         assert!(s.median_ms > 0.0 && s.min_ms == s.median_ms);
         assert!(b.env.cores >= 1);
         let err = record(&["bogus".to_string()], cfg).expect_err("unknown scenario");
-        assert!(matches!(err, PerfError::UnknownScenario(_)));
+        assert!(matches!(err, GateError::UnknownScenario { .. }));
     }
 }

@@ -1,100 +1,40 @@
 //! Quality baselines: pinned competitive-ratio scenarios and an
 //! **exact** regression gate.
 //!
-//! The perf observatory ([`crate::perf`]) watches wall time, which is
-//! noisy, so its gate is statistical (MAD slack + a relative floor).
-//! Solution quality is different: every quality scenario pins its
-//! generator seeds and the engine's aggregates are byte-deterministic
-//! at any shard count, so two runs of the same code produce *identical*
-//! ratio statistics. That lets the quality gate be exact — **any**
-//! increase of a group's max ALG/OPT ratio or of its bound headroom
-//! (measured max ÷ the proven Table 1 bound) against the committed
-//! `BENCH_quality.json` is a regression, with no noise threshold to
-//! hide behind.
+//! Every quality scenario pins its generator seeds and the engine's
+//! aggregates are byte-deterministic at any shard count, so two runs of
+//! the same code produce *identical* ratio statistics. The rule is
+//! therefore exact: **any** increase of a group's max ALG/OPT ratio or
+//! of its bound headroom (measured max ÷ the proven Table 1 bound)
+//! against the committed `BENCH_quality.json` is a regression, and so is
+//! a dropped group or bound. Each finding carries the new run's
+//! reproducible worst cell (seed, instance), so `--explain` output can
+//! be regenerated and `qbss explain`-ed offline.
 //!
 //! `qbss quality record` evaluates the scenario table through
-//! [`run_sweep`] and serializes per-group `max / mean / p95` energy
-//! ratios, the proven bound, the headroom, and the reproducible worst
-//! cell (seed, instance) into a canonical `qbss-quality-baseline/1`
-//! document. `qbss quality compare` diffs two baselines; `qbss quality
-//! gate` records fresh numbers, diffs them against the committed
-//! baseline, and exits 3 on any worsened group — `--explain` names the
-//! offending scenario, seed, and instance.
-
-use std::collections::BTreeMap;
-use std::fmt;
+//! [`run_sweep`] and stores per-group `max / mean / p95` energy ratios,
+//! the proven bound, the headroom and the worst cell in the shared
+//! [`gate::Baseline`] envelope; the record/compare/gate protocol itself
+//! lives in [`crate::gate`].
 
 use qbss_analysis::stats::percentile_sorted;
 use qbss_core::pipeline::Algorithm;
 use qbss_instances::gen::{Compressibility, GenConfig, QueryModel, TimeModel};
-use qbss_telemetry::{json_escape, json_f64, json_parse, JsonValue};
+use qbss_telemetry::{json_escape, json_f64, JsonValue};
 
-use crate::engine::{run_sweep, EngineError, InstanceSource, SweepSpec, WorstCell};
+use crate::engine::{run_sweep, InstanceSource, SweepSpec, WorstCell};
+use crate::gate::{self, Baseline, Exact, Finding, GateError, Scenario};
 
 /// The on-disk schema tag; bump on incompatible baseline changes.
 pub const QUALITY_SCHEMA: &str = "qbss-quality-baseline/1";
-
-// ---------------------------------------------------------------------
-// Build fingerprint
-// ---------------------------------------------------------------------
-
-/// The build that produced an artifact: crate version plus a best-effort
-/// `git describe` string. Embedded in quality baselines, loadgen
-/// reports, and the serve plane's `/healthz` so a number on disk can be
-/// traced back to the code that computed it. Informational only — the
-/// gate never compares fingerprints.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BuildInfo {
-    /// Workspace crate version (`CARGO_PKG_VERSION`).
-    pub version: String,
-    /// `git describe --always --dirty --tags` output, or `"unknown"`
-    /// outside a git checkout.
-    pub git: String,
-}
-
-impl BuildInfo {
-    /// Captures the current build's fingerprint.
-    pub fn capture() -> Self {
-        let git = std::process::Command::new("git")
-            .args(["describe", "--always", "--dirty", "--tags"])
-            .output()
-            .ok()
-            .filter(|o| o.status.success())
-            .and_then(|o| String::from_utf8(o.stdout).ok())
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .unwrap_or_else(|| "unknown".to_string());
-        Self { version: env!("CARGO_PKG_VERSION").to_string(), git }
-    }
-
-    /// One-line rendering, e.g. `qbss 0.1.0 (1fdad51)`.
-    pub fn render(&self) -> String {
-        format!("qbss {} ({})", self.version, self.git)
-    }
-}
 
 // ---------------------------------------------------------------------
 // Scenarios
 // ---------------------------------------------------------------------
 
 /// A named, fully pinned quality workload: generator family × algorithm
-/// set × α grid × seed range. Everything is deterministic, so the
-/// recorded statistics are a pure function of the code under test.
-#[derive(Debug, Clone, Copy)]
-pub struct QualityScenario {
-    /// Stable name (the baseline JSON key and the `--scenarios` token).
-    pub name: &'static str,
-    /// One-line description for `qbss quality record` output.
-    pub description: &'static str,
-    build: fn() -> SweepSpec,
-}
-
-impl QualityScenario {
-    /// The pinned sweep spec this scenario evaluates.
-    pub fn spec(&self) -> SweepSpec {
-        (self.build)()
-    }
-}
+/// set × α grid × seed range, as a sweep-spec builder.
+pub type QualityScenario = Scenario<fn() -> SweepSpec>;
 
 fn golden_common() -> SweepSpec {
     SweepSpec {
@@ -156,34 +96,35 @@ fn multi_machine() -> SweepSpec {
 }
 
 /// Every named quality scenario, in canonical order.
-pub fn scenarios() -> Vec<QualityScenario> {
-    vec![
-        QualityScenario {
+pub fn scenarios() -> &'static [QualityScenario] {
+    const TABLE: &[QualityScenario] = &[
+        Scenario {
             name: "golden-common",
             description: "crcd+avrq+bkpq × 2 α × 50 common-deadline instances (n=10)",
-            build: golden_common,
+            work: golden_common,
         },
-        QualityScenario {
+        Scenario {
             name: "golden-online",
             description: "avrq+bkpq+oaq × 2 α × 40 online instances (n=24)",
-            build: golden_online,
+            work: golden_online,
         },
-        QualityScenario {
+        Scenario {
             name: "heavytail-online",
             description: "avrq+bkpq × 2 α × 40 heavy-tail online instances (n=16)",
-            build: heavytail_online,
+            work: heavytail_online,
         },
-        QualityScenario {
+        Scenario {
             name: "multi-machine",
             description: "avrq-m:3 + avrq-m-nonmig:3 × 16 online instances (n=12)",
-            build: multi_machine,
+            work: multi_machine,
         },
-    ]
+    ];
+    TABLE
 }
 
 /// Looks up a quality scenario by name.
 pub fn scenario(name: &str) -> Option<QualityScenario> {
-    scenarios().into_iter().find(|s| s.name == name)
+    gate::find(scenarios(), name)
 }
 
 // ---------------------------------------------------------------------
@@ -221,87 +162,25 @@ pub struct ScenarioQuality {
     pub groups: Vec<GroupQuality>,
 }
 
-/// A recorded quality baseline. Serializes canonically (sorted scenario
-/// keys, fixed field order), and — because every input is pinned — two
-/// records of the same build are byte-identical.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QualityBaseline {
-    /// The build that produced these numbers (informational; the gate
-    /// ignores it, so re-records on another commit still byte-compare
-    /// per scenario).
-    pub build: BuildInfo,
-    /// Stats by scenario name (sorted).
-    pub scenarios: BTreeMap<String, ScenarioQuality>,
-}
-
-/// Failures of the quality layer.
-#[derive(Debug)]
-pub enum QualityError {
-    /// `--scenarios` named something that doesn't exist.
-    UnknownScenario(String),
-    /// A baseline file didn't match the schema.
-    Parse(String),
-    /// The engine rejected a scenario spec (a bug in the scenario
-    /// table).
-    Engine(EngineError),
-    /// A scenario produced cell errors; quality statistics over a
-    /// partially failed grid would silently shrink coverage.
-    Dirty {
-        /// The scenario whose grid did not evaluate cleanly.
-        scenario: String,
-        /// Number of failed cells.
-        errors: usize,
-    },
-}
-
-impl fmt::Display for QualityError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            QualityError::UnknownScenario(name) => {
-                let known: Vec<&str> = scenarios().iter().map(|s| s.name).collect();
-                write!(f, "unknown scenario `{name}` (expected one of: {})", known.join(", "))
-            }
-            QualityError::Parse(reason) => write!(f, "invalid quality baseline: {reason}"),
-            QualityError::Engine(e) => write!(f, "scenario failed to run: {e}"),
-            QualityError::Dirty { scenario, errors } => {
-                write!(f, "scenario `{scenario}` had {errors} failed cell(s)")
-            }
-        }
-    }
-}
-
-impl std::error::Error for QualityError {}
-
-impl From<EngineError> for QualityError {
-    fn from(e: EngineError) -> Self {
-        QualityError::Engine(e)
-    }
-}
+/// A recorded quality baseline (`BENCH_quality.json`).
+pub type QualityBaseline = Baseline<ScenarioQuality>;
 
 /// Evaluates `names` (all scenarios when empty) through the engine and
 /// returns the recorded baseline. `shards = 0` uses all cores — the
 /// statistics are byte-identical either way.
-pub fn record(names: &[String], shards: usize) -> Result<QualityBaseline, QualityError> {
-    let picked: Vec<QualityScenario> = if names.is_empty() {
-        scenarios()
-    } else {
-        names
-            .iter()
-            .map(|n| scenario(n).ok_or_else(|| QualityError::UnknownScenario(n.clone())))
-            .collect::<Result<_, _>>()?
-    };
-    let mut out = BTreeMap::new();
-    for sc in picked {
-        let spec = sc.spec();
+pub fn record(names: &[String], shards: usize) -> Result<QualityBaseline, GateError> {
+    let mut out = std::collections::BTreeMap::new();
+    for sc in gate::pick(scenarios(), names)? {
+        let spec = (sc.work)();
         let report = run_sweep(&spec, shards)?;
         let n_alphas = spec.alphas.len();
+        let dirty = |errors: usize| {
+            GateError::Cells(format!("scenario `{}` had {errors} failed cell(s)", sc.name))
+        };
         let mut groups = Vec::with_capacity(report.groups.len());
         for (gi, g) in report.groups.iter().enumerate() {
             if g.errors > 0 {
-                return Err(QualityError::Dirty {
-                    scenario: sc.name.to_string(),
-                    errors: g.errors,
-                });
+                return Err(dirty(g.errors));
             }
             let (alg_idx, alpha_idx) = (gi / n_alphas, gi % n_alphas);
             // p95 is not part of the engine digest; derive it from the
@@ -313,10 +192,7 @@ pub fn record(names: &[String], shards: usize) -> Result<QualityBaseline, Qualit
                 .filter_map(|r| r.result.as_ref().ok().map(|m| m.energy_ratio))
                 .collect();
             ratios.sort_by(f64::total_cmp);
-            let digest = g.energy_ratio.as_ref().ok_or_else(|| QualityError::Dirty {
-                scenario: sc.name.to_string(),
-                errors: 0,
-            })?;
+            let digest = g.energy_ratio.as_ref().ok_or_else(|| dirty(0))?;
             groups.push(GroupQuality {
                 algorithm: g.algorithm.clone(),
                 alpha: g.alpha,
@@ -330,11 +206,11 @@ pub fn record(names: &[String], shards: usize) -> Result<QualityBaseline, Qualit
         }
         out.insert(sc.name.to_string(), ScenarioQuality { cells: spec.n_cells(), groups });
     }
-    Ok(QualityBaseline { build: BuildInfo::capture(), scenarios: out })
+    Ok(Baseline { build: gate::BuildInfo::capture(), scenarios: out })
 }
 
 // ---------------------------------------------------------------------
-// Serialization
+// Serialization and the exact rule
 // ---------------------------------------------------------------------
 
 fn json_opt(v: Option<f64>) -> String {
@@ -353,30 +229,47 @@ fn json_worst(w: Option<WorstCell>) -> String {
     }
 }
 
-impl QualityBaseline {
-    /// Canonical, human-diffable JSON (trailing newline included).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"schema\": \"{}\",\n", json_escape(QUALITY_SCHEMA)));
-        out.push_str(&format!(
-            "  \"build\": {{\"version\": \"{}\", \"git\": \"{}\"}},\n",
-            json_escape(&self.build.version),
-            json_escape(&self.build.git),
-        ));
-        out.push_str("  \"scenarios\": {\n");
-        let n = self.scenarios.len();
-        for (i, (name, s)) in self.scenarios.iter().enumerate() {
-            out.push_str(&format!(
-                "    \"{}\": {{\"cells\": {}, \"groups\": [\n",
-                json_escape(name),
-                s.cells
-            ));
-            let m = s.groups.len();
-            for (j, g) in s.groups.iter().enumerate() {
-                out.push_str(&format!(
-                    "      {{\"algorithm\": \"{}\", \"alpha\": {}, \"max\": {}, \
-                     \"mean\": {}, \"p95\": {}, \"bound\": {}, \"headroom\": {}, \
-                     \"worst\": {}}}{}\n",
+fn parse_group(g: &JsonValue) -> Result<GroupQuality, String> {
+    let worst = match g.get("worst") {
+        None | Some(JsonValue::Null) => None,
+        Some(w) => Some(WorstCell {
+            instance: w
+                .get("instance")
+                .and_then(JsonValue::as_u64)
+                .ok_or("worst cell missing `instance`")? as usize,
+            seed: w.get("seed").and_then(JsonValue::as_u64),
+            energy_ratio: w.get("energy_ratio").and_then(JsonValue::as_f64).unwrap_or(f64::NAN),
+        }),
+    };
+    Ok(GroupQuality {
+        algorithm: gate::text(g, "algorithm")?.to_string(),
+        alpha: gate::num(g, "alpha")?,
+        max: gate::num(g, "max")?,
+        mean: gate::num(g, "mean")?,
+        p95: gate::num(g, "p95")?,
+        bound: g.get("bound").and_then(JsonValue::as_f64),
+        headroom: g.get("headroom").and_then(JsonValue::as_f64),
+        worst,
+    })
+}
+
+impl Exact for ScenarioQuality {
+    const SCHEMA: &'static str = QUALITY_SCHEMA;
+    const KIND: &'static str = "quality";
+    const UNIT: &'static str = "group(s)";
+
+    fn record(names: &[String]) -> Result<QualityBaseline, GateError> {
+        record(names, 0)
+    }
+
+    fn to_json(&self) -> String {
+        let rows: Vec<String> = self
+            .groups
+            .iter()
+            .map(|g| {
+                format!(
+                    "{{\"algorithm\": \"{}\", \"alpha\": {}, \"max\": {}, \"mean\": {}, \
+                     \"p95\": {}, \"bound\": {}, \"headroom\": {}, \"worst\": {}}}",
                     json_escape(&g.algorithm),
                     json_f64(g.alpha),
                     json_f64(g.max),
@@ -385,296 +278,64 @@ impl QualityBaseline {
                     json_opt(g.bound),
                     json_opt(g.headroom),
                     json_worst(g.worst),
-                    if j + 1 < m { "," } else { "" },
-                ));
-            }
-            out.push_str(&format!("    ]}}{}\n", if i + 1 < n { "," } else { "" }));
-        }
-        out.push_str("  }\n}\n");
-        out
+                )
+            })
+            .collect();
+        gate::json_rows(&format!("\"cells\": {}", self.cells), "groups", &rows)
     }
 
-    /// Parses a baseline produced by [`QualityBaseline::to_json`].
-    pub fn parse(input: &str) -> Result<QualityBaseline, QualityError> {
-        let bad = |reason: &str| QualityError::Parse(reason.to_string());
-        let v = json_parse(input).map_err(|e| QualityError::Parse(e.to_string()))?;
-        let schema = v.get("schema").and_then(JsonValue::as_str).unwrap_or_default();
-        if schema != QUALITY_SCHEMA {
-            return Err(QualityError::Parse(format!(
-                "schema `{schema}` (expected `{QUALITY_SCHEMA}`)"
-            )));
-        }
-        let build = match v.get("build") {
-            Some(b) => BuildInfo {
-                version: b
-                    .get("version")
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("unknown")
-                    .to_string(),
-                git: b.get("git").and_then(JsonValue::as_str).unwrap_or("unknown").to_string(),
-            },
-            None => BuildInfo { version: "unknown".into(), git: "unknown".into() },
-        };
-        let JsonValue::Obj(entries) = v.get("scenarios").ok_or_else(|| bad("missing `scenarios`"))?
-        else {
-            return Err(bad("`scenarios` must be an object"));
-        };
-        let mut out = BTreeMap::new();
-        for (name, s) in entries {
-            let JsonValue::Arr(raw_groups) = s
-                .get("groups")
-                .ok_or_else(|| QualityError::Parse(format!("scenario `{name}`: missing `groups`")))?
-            else {
-                return Err(QualityError::Parse(format!(
-                    "scenario `{name}`: `groups` must be an array"
-                )));
-            };
-            let mut groups = Vec::with_capacity(raw_groups.len());
-            for g in raw_groups {
-                let need_f64 = |key: &str| -> Result<f64, QualityError> {
-                    g.get(key).and_then(JsonValue::as_f64).ok_or_else(|| {
-                        QualityError::Parse(format!("scenario `{name}`: missing number `{key}`"))
-                    })
-                };
-                let worst = match g.get("worst") {
-                    None | Some(JsonValue::Null) => None,
-                    Some(w) => Some(WorstCell {
-                        instance: w.get("instance").and_then(JsonValue::as_u64).ok_or_else(
-                            || {
-                                QualityError::Parse(format!(
-                                    "scenario `{name}`: worst cell missing `instance`"
-                                ))
-                            },
-                        )? as usize,
-                        seed: w.get("seed").and_then(JsonValue::as_u64),
-                        energy_ratio: w
-                            .get("energy_ratio")
-                            .and_then(JsonValue::as_f64)
-                            .unwrap_or(f64::NAN),
-                    }),
-                };
-                groups.push(GroupQuality {
-                    algorithm: g
-                        .get("algorithm")
-                        .and_then(JsonValue::as_str)
-                        .ok_or_else(|| {
-                            QualityError::Parse(format!(
-                                "scenario `{name}`: group missing `algorithm`"
-                            ))
-                        })?
-                        .to_string(),
-                    alpha: need_f64("alpha")?,
-                    max: need_f64("max")?,
-                    mean: need_f64("mean")?,
-                    p95: need_f64("p95")?,
-                    bound: g.get("bound").and_then(JsonValue::as_f64),
-                    headroom: g.get("headroom").and_then(JsonValue::as_f64),
-                    worst,
-                });
-            }
-            out.insert(
-                name.clone(),
-                ScenarioQuality {
-                    cells: s.get("cells").and_then(JsonValue::as_u64).unwrap_or(0) as usize,
-                    groups,
-                },
-            );
-        }
-        Ok(QualityBaseline { build, scenarios: out })
-    }
-}
-
-// ---------------------------------------------------------------------
-// Comparison / gating
-// ---------------------------------------------------------------------
-
-/// One exact quality regression: a group whose worst ratio or headroom
-/// got worse, or coverage that silently disappeared.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QualityRegression {
-    /// Scenario name.
-    pub scenario: String,
-    /// Algorithm of the offending group (empty for scenario-level
-    /// regressions).
-    pub algorithm: String,
-    /// α of the offending group (`None` for scenario-level regressions).
-    pub alpha: Option<f64>,
-    /// What worsened: `"max ratio"`, `"bound headroom"`, `"scenario
-    /// removed"`, `"group removed"`, or `"bound removed"`.
-    pub what: &'static str,
-    /// The committed value.
-    pub base: Option<f64>,
-    /// The freshly measured value.
-    pub new: Option<f64>,
-    /// The new run's argmax cell — the seed/instance that exhibits the
-    /// regression, reproducible via `qbss explain`.
-    pub worst: Option<WorstCell>,
-}
-
-/// Everything `qbss quality compare` / `gate` reports.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct QualityCompare {
-    /// Groups checked (both sides present).
-    pub checked: usize,
-    /// Exact regressions, in scenario/group order.
-    pub regressions: Vec<QualityRegression>,
-}
-
-impl QualityCompare {
-    /// `true` when no group worsened.
-    pub fn is_clean(&self) -> bool {
-        self.regressions.is_empty()
+    fn parse(v: &JsonValue) -> Result<Self, String> {
+        Ok(ScenarioQuality {
+            cells: v.get("cells").and_then(JsonValue::as_u64).unwrap_or(0) as usize,
+            groups: gate::arr(v, "groups")?.iter().map(parse_group).collect::<Result<_, _>>()?,
+        })
     }
 
-    /// Human-readable summary: one line per regression plus a verdict.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for r in &self.regressions {
-            let group = match r.alpha {
-                Some(a) => format!("{} @ α={a}", r.algorithm),
-                None => "-".to_string(),
-            };
-            let fmt = |v: Option<f64>| v.map_or("-".to_string(), |x| format!("{x:.6}"));
-            out.push_str(&format!(
-                "{}  {}  {}  {} -> {}  WORSE\n",
-                r.scenario,
-                group,
-                r.what,
-                fmt(r.base),
-                fmt(r.new)
-            ));
-        }
-        if self.is_clean() {
-            out.push_str(&format!("no quality regression ({} group(s) checked)\n", self.checked));
-        } else {
-            out.push_str(&format!("{} quality regression(s)\n", self.regressions.len()));
-        }
-        out
-    }
-
-    /// Diagnostic rendering: every regression with the reproducible
-    /// worst cell (scenario, seed, instance) so the offending run can
-    /// be regenerated and explained offline.
-    pub fn render_explain(&self) -> String {
-        let mut out = String::new();
-        for r in &self.regressions {
-            let group = match r.alpha {
-                Some(a) => format!("{} @ α={a}", r.algorithm),
-                None => "(scenario)".to_string(),
-            };
-            let fmt = |v: Option<f64>| v.map_or("-".to_string(), |x| format!("{x:.9}"));
-            out.push_str(&format!(
-                "scenario `{}` {}: {} worsened {} -> {}\n",
-                r.scenario,
-                group,
-                r.what,
-                fmt(r.base),
-                fmt(r.new)
-            ));
-            if let Some(w) = r.worst {
-                let seed = w.seed.map_or("-".to_string(), |s| s.to_string());
-                out.push_str(&format!(
-                    "  worst cell: seed {seed}, instance {}, ratio {:.9}\n",
-                    w.instance, w.energy_ratio
-                ));
-            }
-        }
-        if self.is_clean() {
-            out.push_str(&format!(
-                "no quality regression ({} group(s) checked, exact comparison)\n",
-                self.checked
-            ));
-        } else {
-            out.push_str(&format!("{} quality regression(s)\n", self.regressions.len()));
-        }
-        out
-    }
-}
-
-/// Diffs `new` against `base`, exactly. A group regresses on **any**
-/// increase of its max ratio or headroom — seeds are pinned and
-/// aggregates byte-deterministic, so equal code must produce equal
-/// numbers and every difference is a real behavior change. Dropped
-/// scenarios, groups, or bounds also regress (coverage must not
-/// silently shrink); scenarios or groups only present in `new` are
-/// informational.
-pub fn compare(base: &QualityBaseline, new: &QualityBaseline) -> QualityCompare {
-    let mut report = QualityCompare::default();
-    for (name, b) in &base.scenarios {
-        let Some(n) = new.scenarios.get(name) else {
-            report.regressions.push(QualityRegression {
-                scenario: name.clone(),
-                algorithm: String::new(),
-                alpha: None,
-                what: "scenario removed",
-                base: None,
-                new: None,
-                worst: None,
-            });
-            continue;
-        };
-        for bg in &b.groups {
-            let found = n
+    /// A group regresses on **any** increase of its max ratio or
+    /// headroom — seeds are pinned and aggregates byte-deterministic, so
+    /// every difference is a real behavior change. A dropped group or
+    /// bound regresses too; groups only present in `new` are
+    /// informational.
+    fn compare(name: &str, base: &Self, new: &Self, out: &mut Vec<Finding>) -> usize {
+        let mut checked = 0;
+        for bg in &base.groups {
+            let key = format!("{} @ α={}", bg.algorithm, bg.alpha);
+            let found = new
                 .groups
                 .iter()
                 .find(|g| g.algorithm == bg.algorithm && g.alpha.to_bits() == bg.alpha.to_bits());
             let Some(ng) = found else {
-                report.regressions.push(QualityRegression {
-                    scenario: name.clone(),
-                    algorithm: bg.algorithm.clone(),
-                    alpha: Some(bg.alpha),
-                    what: "group removed",
-                    base: Some(bg.max),
-                    new: None,
-                    worst: None,
-                });
+                out.push(Finding::new(name, &key, "group removed"));
                 continue;
             };
-            report.checked += 1;
+            checked += 1;
+            // The new run's argmax cell exhibits the regression.
+            let worst = ng.worst.map(|w| {
+                let seed = w.seed.map_or("-".to_string(), |s| s.to_string());
+                let (instance, ratio) = (w.instance, w.energy_ratio);
+                format!("worst cell: seed {seed}, instance {instance}, ratio {ratio}")
+            });
+            let finding =
+                |rule: &str| Finding { detail: worst.clone(), ..Finding::new(name, &key, rule) };
             if ng.max > bg.max {
-                report.regressions.push(QualityRegression {
-                    scenario: name.clone(),
-                    algorithm: bg.algorithm.clone(),
-                    alpha: Some(bg.alpha),
-                    what: "max ratio",
-                    base: Some(bg.max),
-                    new: Some(ng.max),
-                    worst: ng.worst,
-                });
+                out.push(finding("max ratio").values(bg.max, ng.max));
             }
             match (bg.headroom, ng.headroom) {
                 (Some(bh), Some(nh)) if nh > bh => {
-                    report.regressions.push(QualityRegression {
-                        scenario: name.clone(),
-                        algorithm: bg.algorithm.clone(),
-                        alpha: Some(bg.alpha),
-                        what: "bound headroom",
-                        base: Some(bh),
-                        new: Some(nh),
-                        worst: ng.worst,
-                    });
+                    out.push(finding("bound headroom").values(bh, nh));
                 }
-                (Some(bh), None) => {
-                    report.regressions.push(QualityRegression {
-                        scenario: name.clone(),
-                        algorithm: bg.algorithm.clone(),
-                        alpha: Some(bg.alpha),
-                        what: "bound removed",
-                        base: Some(bh),
-                        new: None,
-                        worst: ng.worst,
-                    });
-                }
+                (Some(_), None) => out.push(finding("bound removed")),
                 _ => {}
             }
         }
+        checked
     }
-    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::{BuildInfo, Gate, Verdict};
 
     fn group(algorithm: &str, alpha: f64, max: f64, bound: Option<f64>) -> GroupQuality {
         GroupQuality {
@@ -701,17 +362,18 @@ mod tests {
         }
     }
 
+    fn rules(report: &gate::Findings) -> Vec<&str> {
+        report.findings.iter().map(|f| f.rule.as_str()).collect()
+    }
+
     #[test]
     fn scenario_table_is_well_formed() {
         let all = scenarios();
         assert!(all.len() >= 4);
-        let mut names: Vec<&str> = all.iter().map(|s| s.name).collect();
-        names.dedup();
-        assert_eq!(names.len(), all.len(), "names must be unique");
         assert!(scenario("golden-common").is_some());
         assert!(scenario("nope").is_none());
-        for s in &all {
-            let spec = s.spec();
+        for s in all {
+            let spec = (s.work)();
             assert!(spec.n_cells() > 0, "{}: empty grid", s.name);
             spec.validate().unwrap_or_else(|e| panic!("{}: {e}", s.name));
         }
@@ -731,17 +393,21 @@ mod tests {
 
     #[test]
     fn parse_rejects_foreign_or_broken_documents() {
-        assert!(matches!(QualityBaseline::parse("{}"), Err(QualityError::Parse(_))));
-        assert!(matches!(QualityBaseline::parse("not json"), Err(QualityError::Parse(_))));
+        assert!(matches!(QualityBaseline::parse("{}"), Err(GateError::Parse { .. })));
+        assert!(matches!(QualityBaseline::parse("not json"), Err(GateError::Parse { .. })));
         let wrong = "{\"schema\": \"qbss-quality-baseline/999\", \"scenarios\": {}}";
         let err = QualityBaseline::parse(wrong).expect_err("wrong schema");
         assert!(err.to_string().contains("schema"), "{err}");
+        let json = baseline(&[("a", vec![group("avrq", 2.0, 2.1, None)])]).to_json();
+        let err = QualityBaseline::parse(&json.replace("\"max\"", "\"maximum\""))
+            .expect_err("missing field");
+        assert!(err.to_string().contains("scenario `a`: missing number `max`"), "{err}");
     }
 
     #[test]
     fn identical_baselines_are_clean() {
         let b = baseline(&[("a", vec![group("avrq", 2.0, 2.1, Some(32.0))])]);
-        let report = compare(&b, &b.clone());
+        let report = QualityBaseline::compare(&b, &b.clone());
         assert!(report.is_clean());
         assert_eq!(report.checked, 1);
         assert!(report.render().contains("no quality regression"));
@@ -753,14 +419,12 @@ mod tests {
         // no noise threshold to hide behind.
         let base = baseline(&[("a", vec![group("avrq", 2.0, 2.1, Some(32.0))])]);
         let new = baseline(&[("a", vec![group("avrq", 2.0, 2.1 + 1e-12, Some(32.0))])]);
-        let report = compare(&base, &new);
+        let report = QualityBaseline::compare(&base, &new);
         // Both the max and the headroom worsen (the bound is unchanged).
-        assert_eq!(report.regressions.len(), 2, "{report:?}");
-        assert_eq!(report.regressions[0].what, "max ratio");
-        assert_eq!(report.regressions[1].what, "bound headroom");
+        assert_eq!(rules(&report), ["max ratio", "bound headroom"], "{report:?}");
         // A *decrease* is an improvement, not a regression.
         let better = baseline(&[("a", vec![group("avrq", 2.0, 2.0, Some(32.0))])]);
-        assert!(compare(&base, &better).is_clean());
+        assert!(QualityBaseline::compare(&base, &better).is_clean());
     }
 
     #[test]
@@ -770,24 +434,23 @@ mod tests {
             ("gone", vec![group("oaq", 3.0, 3.4, None)]),
         ]);
         let new = baseline(&[("a", vec![group("avrq", 2.0, 2.1, Some(32.0))])]);
-        let report = compare(&base, &new);
-        let whats: Vec<&str> = report.regressions.iter().map(|r| r.what).collect();
-        assert!(whats.contains(&"scenario removed"), "{whats:?}");
-        assert!(whats.contains(&"group removed"), "{whats:?}");
+        let report = QualityBaseline::compare(&base, &new);
+        assert!(rules(&report).contains(&"scenario removed"), "{report:?}");
+        assert!(rules(&report).contains(&"group removed"), "{report:?}");
         // Losing a proven bound while keeping the group also regresses.
         let unbounded = baseline(&[
             ("a", vec![group("avrq", 2.0, 2.1, None), group("bkpq", 2.0, 3.8, None)]),
             ("gone", vec![group("oaq", 3.0, 3.4, None)]),
         ]);
-        let report = compare(&base, &unbounded);
-        assert!(report.regressions.iter().any(|r| r.what == "bound removed"), "{report:?}");
+        let report = QualityBaseline::compare(&base, &unbounded);
+        assert!(rules(&report).contains(&"bound removed"), "{report:?}");
     }
 
     #[test]
     fn explain_names_the_scenario_seed_and_instance() {
         let base = baseline(&[("golden-online", vec![group("avrq", 2.0, 2.1, Some(32.0))])]);
         let new = baseline(&[("golden-online", vec![group("avrq", 2.0, 2.5, Some(32.0))])]);
-        let out = compare(&base, &new).render_explain();
+        let out = QualityBaseline::compare(&base, &new).render_explain();
         for needle in ["scenario `golden-online`", "avrq @ α=2", "max ratio", "seed 3",
             "instance 3"]
         {
@@ -817,14 +480,6 @@ mod tests {
             assert!(w.seed.is_some(), "generated sources pin seeds");
         }
         let err = record(&["bogus".to_string()], 1).expect_err("unknown scenario");
-        assert!(matches!(err, QualityError::UnknownScenario(_)));
-    }
-
-    #[test]
-    fn build_info_captures_something() {
-        let b = BuildInfo::capture();
-        assert_eq!(b.version, env!("CARGO_PKG_VERSION"));
-        assert!(!b.git.is_empty());
-        assert!(b.render().starts_with("qbss "));
+        assert!(matches!(err, GateError::UnknownScenario { .. }));
     }
 }

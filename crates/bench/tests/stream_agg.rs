@@ -1,13 +1,13 @@
 //! Edge coverage for the lock-free aggregation layer: `StreamAgg`'s
 //! IEEE-bit `fetch_max` under concurrency, bound-violation counting,
-//! `BenchGroup`/histogram snapshot edges (NaN/∞ clamping, empty
-//! groups), and the perf layer's single-sample statistics.
+//! histogram snapshot edges (NaN/∞ clamping), and the perf layer's
+//! single-sample statistics.
 
 use std::sync::atomic::Ordering;
 
 use qbss_bench::perf::{mad, median};
-use qbss_bench::{BenchGroup, CellMetrics, StreamAgg};
-use qbss_telemetry::{JsonValue, Registry, DURATION_US_BOUNDS};
+use qbss_bench::{CellMetrics, StreamAgg};
+use qbss_telemetry::{Registry, DURATION_US_BOUNDS};
 
 fn metrics(energy_ratio: f64, peak_speed: f64, speed_ratio: Option<f64>) -> CellMetrics {
     CellMetrics { energy: 1.0, peak_speed, energy_ratio, speed_ratio, queried: 0 }
@@ -83,17 +83,6 @@ fn bound_violations_respect_the_slack() {
     // No bound for the group: nothing to violate.
     agg.record_ok(2, &metrics(100.0, 100.0, Some(100.0)), None, None);
     assert_eq!(agg.energy_violations.load(Ordering::Relaxed), 1);
-}
-
-#[test]
-fn empty_bench_group_snapshot_is_valid_and_empty() {
-    let g = BenchGroup::new("empty");
-    let json = g.snapshot_json();
-    let parsed = qbss_telemetry::json_parse(&json).expect("valid JSON");
-    match parsed.get("histograms") {
-        Some(JsonValue::Obj(h)) => assert!(h.is_empty(), "{json}"),
-        other => panic!("histograms must be an object: {other:?}"),
-    }
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! The determinism contract of the work-counter observatory: op counts
 //! are a pure function of the code under test. Same workload → same
 //! counts, whatever the shard layout, log level, or batch/streaming
-//! entry point. The CI `complexity-gate` job proves the byte-level
+//! entry point. The CI gate job's complexity leg proves the byte-level
 //! version of the same contract across two *cold* processes with
 //! `cmp`; these tests pin the in-process invariants the gate's
 //! exactness rests on.
@@ -15,8 +15,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use qbss_bench::complexity;
 use qbss_bench::engine::{run_sweep, InstanceSource, SweepSpec};
+use qbss_bench::gate::{Gate, WorkMark};
 use qbss_core::pipeline::Algorithm;
-use qbss_core::work::is_work_counter;
 use qbss_instances::gen::{generate, GenConfig};
 use qbss_telemetry::{Filter, RingSink, SinkTarget};
 use speed_scaling::job::{Instance, Job};
@@ -32,18 +32,9 @@ fn lock() -> MutexGuard<'static, ()> {
 
 /// Runs `f` and returns the positive work-counter deltas it caused.
 fn work_delta<F: FnOnce()>(f: F) -> BTreeMap<String, u64> {
-    let before = qbss_telemetry::metrics().counter_values();
+    let mark = WorkMark::now();
     f();
-    qbss_telemetry::metrics()
-        .counter_values()
-        .into_iter()
-        .filter(|(name, _)| is_work_counter(name))
-        .map(|(name, v)| {
-            let b = before.get(&name).copied().unwrap_or(0);
-            (name, v - b)
-        })
-        .filter(|&(_, d)| d > 0)
-        .collect()
+    mark.delta()
 }
 
 /// The classical view of the pinned online family — the same mapping

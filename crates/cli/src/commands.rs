@@ -8,7 +8,7 @@
 //! | 0    | success                                              |
 //! | 1    | the algorithm pipeline failed ([`CliError::Algorithm`]) |
 //! | 2    | bad input: flags, instance data ([`CliError::Input`]) |
-//! | 3    | file-system failure ([`CliError::Io`]) or a perf-gate regression ([`CliError::Gate`]) |
+//! | 3    | file-system failure ([`CliError::Io`]) or a gate regression ([`CliError::Gate`]) |
 //!
 //! Flags are uniform across subcommands — `--alg`, `--alpha`, `--m`,
 //! `--seed`, `--format table|json|csv` — parsed by the typed [`Flags`]
@@ -21,10 +21,9 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 use qbss_bench::engine::{run_sweep_audited, EngineReport, InstanceSource, SweepSpec};
-use qbss_bench::perf::{self, Baseline, PerfConfig, Threshold};
-use qbss_bench::complexity::{self, ComplexityBaseline};
-use qbss_bench::quality::{self, QualityBaseline};
-use qbss_bench::{BuildInfo, StreamSession};
+use qbss_bench::gate::{self, Exact, Gate, GateError, Verdict};
+use qbss_bench::perf::{self, Baseline as PerfBaseline, PerfConfig};
+use qbss_bench::{BuildInfo, ComplexityBaseline, QualityBaseline, StreamSession};
 use qbss_telemetry::profile::Profile;
 use qbss_telemetry::{Config, Filter, InitError, JsonValue, RingSink, SinkTarget};
 use qbss_core::error::{AlgorithmError, QbssError};
@@ -76,11 +75,11 @@ USAGE:
                   (trace FILE may be `-` to read stdin)
   qbss perf     record  [--out FILE] [--scenarios LIST] [--repeats N]
                         [--warmup N] [--shards S] [--profile] [--trace FILE]
-  qbss perf     compare BASE NEW [--mad-factor X] [--min-rel X]
-  qbss perf     gate    --base FILE [--new FILE] [--mad-factor X] [--min-rel X] [--explain]
-  qbss quality  record  [--out FILE] [--scenarios LIST] [--shards S] [--trace FILE]
+  qbss perf     compare BASE NEW
+  qbss perf     gate    --base FILE [--new FILE] [--explain]
+  qbss quality  record  [--out FILE] [--scenarios LIST] [--trace FILE]
   qbss quality  compare BASE NEW
-  qbss quality  gate    --base FILE [--new FILE] [--shards S] [--explain]
+  qbss quality  gate    --base FILE [--new FILE] [--explain]
                   (pinned competitive-ratio scenarios; the gate is exact —
                    any worsened max ratio or bound headroom exits 3)
   qbss complexity record  [--out FILE] [--scenarios LIST] [--format json|csv]
@@ -90,6 +89,8 @@ USAGE:
                   (deterministic op counters swept over n-grids; the gate
                    is exact — any increased count at any grid point or a
                    fitted-exponent increase beyond +0.05 exits 3)
+                  (every kind: `gate` re-measures the base's own scenarios
+                   unless --new is given, and exits 3 on a regression)
   qbss prof     record  (--trace FILE | --scenario NAME [--repeats N] [--warmup N]
                         [--shards S]) [--collapse LIST] [--counts-only] [--out FILE]
   qbss prof     diff    BASE NEW [--top K]
@@ -105,6 +106,8 @@ OBSERVABILITY:
                  events and the `audit.violations` counter
   QBSS_LOG       event filter: `level` or `target=level`, comma-separated
                  (off|error|warn|info|debug|trace); a bad spec is bad input
+  QBSS_BLESS=1   a failing `perf|quality|complexity gate` re-records its
+                 --base file with the new measurements instead of exiting 3
 
 EXIT CODES:
   0 success | 1 algorithm failure | 2 bad input
@@ -120,9 +123,9 @@ pub enum CliError {
     Algorithm(QbssError),
     /// The file system failed (exit code 3).
     Io(String),
-    /// `qbss perf gate`, `qbss quality gate`, or `qbss complexity
-    /// gate` found a regression (exit code 3, like a CI infrastructure
-    /// failure: the build is not acceptable as-is).
+    /// `qbss perf|quality|complexity gate` found a regression (exit
+    /// code 3, like a CI infrastructure failure: the build is not
+    /// acceptable as-is).
     Gate(String),
 }
 
@@ -169,6 +172,14 @@ impl From<IoError> for CliError {
             // *input*, not an I/O failure.
             _ => CliError::Input(e.to_string()),
         }
+    }
+}
+
+/// Gate-layer failures (unknown scenario, malformed baseline, a broken
+/// scenario table) are bad input.
+impl From<GateError> for CliError {
+    fn from(e: GateError) -> Self {
+        CliError::Input(e.to_string())
     }
 }
 
@@ -1221,58 +1232,65 @@ pub fn trace(args: &[String]) -> Result<(), CliError> {
 }
 
 // ---------------------------------------------------------------------
-// `qbss perf` — statistical baselines and the regression gate
+// `qbss perf|quality|complexity` — one record/compare/gate path
 // ---------------------------------------------------------------------
 
-const PERF_USAGE: &str = "usage: qbss perf record  [--out FILE] [--scenarios LIST] [--repeats N]\n                         \
-                          [--warmup N] [--shards S] [--profile] [--trace FILE]\n       \
-                          qbss perf compare BASE NEW [--mad-factor X] [--min-rel X]\n       \
-                          qbss perf gate    --base FILE [--new FILE] [--mad-factor X] [--min-rel X]\n                         \
-                          [--explain]";
-
-/// Loads and parses a perf baseline: a missing file is an I/O failure,
-/// a schema violation is bad input.
-fn load_baseline(path: &str) -> Result<Baseline, CliError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError::Io(format!("cannot read {path}: {e}")))?;
-    Baseline::parse(&text).map_err(|e| input(format!("{path}: {e}")))
+/// One gate kind as `qbss <kind> record|compare|gate` drives it: the
+/// [`Gate`] document plus how the CLI measures it.
+trait GateKind: Gate {
+    /// `record` flags beyond the shared `--out`, `--scenarios` and
+    /// `--trace`.
+    const RECORD_FLAGS: &'static [&'static str];
+    /// Records `names` (the whole table when empty) under the record
+    /// flags.
+    fn record(names: &[String], flags: &Flags) -> Result<Self, CliError>;
+    /// Re-measures a committed baseline's own scenarios (`gate` without
+    /// `--new`).
+    fn remeasure(&self) -> Result<Self, CliError>;
+    /// The `record --format csv` view, for kinds that take `--format`.
+    fn to_csv(&self) -> Option<String> {
+        None
+    }
 }
 
-/// `--mad-factor` / `--min-rel` with the library defaults (3×MAD,
-/// 25% floor); both must be finite and non-negative.
-fn threshold_from(flags: &Flags) -> Result<Threshold, CliError> {
-    let d = Threshold::default();
-    let t = Threshold {
-        mad_factor: flags.f64("mad-factor", d.mad_factor)?,
-        min_rel: flags.f64("min-rel", d.min_rel)?,
-    };
-    for (name, v) in [("mad-factor", t.mad_factor), ("min-rel", t.min_rel)] {
-        if !v.is_finite() || v < 0.0 {
-            return Err(input(format!("--{name} must be finite and non-negative")));
+/// Every exact kind (quality, complexity) through its shared envelope:
+/// seeds and counters are pinned, so a re-measure is a plain record.
+impl<S: Exact> GateKind for gate::Baseline<S> {
+    const RECORD_FLAGS: &'static [&'static str] = S::RECORD_FLAGS;
+
+    fn record(names: &[String], flags: &Flags) -> Result<Self, CliError> {
+        let _telemetry = init_telemetry(flags)?;
+        let _span = qbss_telemetry::span!("cli.gate.record", { kind = S::KIND });
+        Ok(S::record(names)?)
+    }
+
+    fn remeasure(&self) -> Result<Self, CliError> {
+        Ok(S::record(&self.scenario_names())?)
+    }
+
+    fn to_csv(&self) -> Option<String> {
+        S::to_csv(self)
+    }
+}
+
+impl GateKind for PerfBaseline {
+    const RECORD_FLAGS: &'static [&'static str] = &["repeats", "warmup", "shards", "profile"];
+
+    fn record(names: &[String], flags: &Flags) -> Result<Self, CliError> {
+        let d = PerfConfig::default();
+        let config = PerfConfig {
+            warmup: flags.usize("warmup", d.warmup)?,
+            repeats: flags.usize("repeats", d.repeats)?,
+            shards: flags.usize("shards", d.shards)?,
+        };
+        if config.repeats == 0 {
+            return Err(input("--repeats must be at least 1"));
         }
-    }
-    Ok(t)
-}
-
-fn perf_record(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags::parse_with_switches(
-        args,
-        &["out", "scenarios", "repeats", "warmup", "shards", "trace", "profile"],
-        &["profile"],
-    )?;
-    let names: Vec<String> = flags.get("scenarios").map_or_else(Vec::new, |s| {
-        s.split(',').map(str::trim).filter(|t| !t.is_empty()).map(String::from).collect()
-    });
-    let d = PerfConfig::default();
-    let config = PerfConfig {
-        warmup: flags.usize("warmup", d.warmup)?,
-        repeats: flags.usize("repeats", d.repeats)?,
-        shards: flags.usize("shards", d.shards)?,
-    };
-    if config.repeats == 0 {
-        return Err(input("--repeats must be at least 1"));
-    }
-    let baseline = if flags.switch("profile")? {
+        if !flags.switch("profile")? {
+            let _telemetry = init_telemetry(flags)?;
+            let _span = qbss_telemetry::span!("cli.gate.record", { kind = "perf" });
+            return Ok(perf::record(names, config)?);
+        }
         if flags.get("trace").is_some() {
             return Err(input(
                 "--profile and --trace are mutually exclusive (the profiler owns the span \
@@ -1282,333 +1300,97 @@ fn perf_record(args: &[String]) -> Result<(), CliError> {
         if std::env::var("QBSS_LOG").is_ok() {
             warn_user("QBSS_LOG is ignored under --profile: spans go to the profile ring");
         }
-        let (baseline, dropped) = {
-            let (ring, _telemetry) = init_profile_ring()?;
-            let b = perf::record_profiled(&names, config, Some(&ring))
-                .map_err(|e| input(e.to_string()))?;
-            (b, ring.dropped())
-        };
-        if dropped > 0 {
-            warn_user(&format!(
-                "profile ring dropped {dropped} span record(s); the folded profiles are \
-                 truncated"
-            ));
+        record_profiled(names, config)
+    }
+
+    /// Re-measures with the baseline's own recording config; a profiled
+    /// base gets a profiled re-measure, so `--explain` can attribute a
+    /// regression to the call paths that moved.
+    fn remeasure(&self) -> Result<Self, CliError> {
+        let names = self.scenario_names();
+        if self.profiles.is_empty() {
+            Ok(perf::record(&names, self.config)?)
+        } else {
+            record_profiled(&names, self.config)
         }
-        baseline
-    } else {
-        let _telemetry = init_telemetry(&flags)?;
-        let _span = qbss_telemetry::span!("cli.perf.record");
-        perf::record(&names, config).map_err(|e| input(e.to_string()))?
-    };
-    let json = baseline.to_json();
-    match flags.get("out") {
-        Some(path) => {
-            std::fs::write(path, &json)
-                .map_err(|e| CliError::Io(format!("cannot write {path}: {e}")))?;
-            status_user(&format!(
-                "wrote perf baseline ({} scenario(s), {} repeat(s) each) to {path}",
-                baseline.scenarios.len(),
-                config.repeats
-            ));
-        }
-        None => print!("{json}"),
-    }
-    Ok(())
-}
-
-fn perf_compare(args: &[String]) -> Result<(), CliError> {
-    let Some((base_path, rest)) = args.split_first() else {
-        return Err(input(format!("perf compare needs BASE and NEW files\n{PERF_USAGE}")));
-    };
-    let Some((new_path, flag_args)) = rest.split_first() else {
-        return Err(input(format!("perf compare needs a NEW file\n{PERF_USAGE}")));
-    };
-    let flags = Flags::parse(flag_args, &["mad-factor", "min-rel"])?;
-    let threshold = threshold_from(&flags)?;
-    let base = load_baseline(base_path)?;
-    let new = load_baseline(new_path)?;
-    print!("{}", perf::compare(&base, &new, threshold).render());
-    Ok(())
-}
-
-fn perf_gate(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags::parse_with_switches(
-        args,
-        &["base", "new", "mad-factor", "min-rel", "repeats", "warmup", "shards", "explain"],
-        &["explain"],
-    )?;
-    let base_path = flags.get("base").ok_or_else(|| input("--base FILE is required"))?;
-    let threshold = threshold_from(&flags)?;
-    let base = load_baseline(base_path)?;
-    let new = match flags.get("new") {
-        Some(path) => load_baseline(path)?,
-        // No --new: re-measure the baseline's own scenarios live, with
-        // its recording config (each knob individually overridable).
-        None => {
-            let names: Vec<String> = base.scenarios.keys().cloned().collect();
-            let config = PerfConfig {
-                warmup: flags.usize("warmup", base.config.warmup)?,
-                repeats: flags.usize("repeats", base.config.repeats.max(1))?,
-                shards: flags.usize("shards", base.config.shards)?,
-            };
-            if base.profiles.is_empty() {
-                perf::record(&names, config).map_err(|e| input(e.to_string()))?
-            } else {
-                // A profiled base gets a profiled re-measure, so
-                // `--explain` can attribute any regression to the call
-                // paths that moved.
-                match init_profile_ring() {
-                    Ok((ring, _telemetry)) => {
-                        perf::record_profiled(&names, config, Some(&ring))
-                            .map_err(|e| input(e.to_string()))?
-                    }
-                    Err(CliError::Input(_)) => {
-                        warn_user(
-                            "telemetry already active: re-measuring without profile attribution",
-                        );
-                        perf::record(&names, config).map_err(|e| input(e.to_string()))?
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-    };
-    let report = perf::compare(&base, &new, threshold);
-    // `--explain` swaps the one-line-per-scenario view for the full
-    // diagnostic table (base median/MAD, new median, limit, delta), so
-    // a CI failure is readable from the log without a local rerun.
-    if flags.switch("explain")? {
-        print!("{}", report.render_explain(threshold));
-    } else {
-        print!("{}", report.render());
-    }
-    if report.regressions().is_empty() {
-        return Ok(());
-    }
-    // An intentional slowdown (algorithmic change, heavier scenario) is
-    // accepted by re-recording the baseline, not by editing thresholds.
-    if std::env::var("QBSS_BLESS").is_ok_and(|v| v == "1") {
-        std::fs::write(base_path, new.to_json())
-            .map_err(|e| CliError::Io(format!("cannot write {base_path}: {e}")))?;
-        status_user(&format!("QBSS_BLESS=1: re-blessed {base_path} with the new measurements"));
-        return Ok(());
-    }
-    Err(CliError::Gate(format!(
-        "{} scenario(s) regressed against {base_path} (rerun with QBSS_BLESS=1 to re-bless)",
-        report.regressions().len()
-    )))
-}
-
-/// `qbss perf` — record statistical baselines, diff them, gate CI.
-pub fn perf(args: &[String]) -> Result<(), CliError> {
-    let Some((action, rest)) = args.split_first() else {
-        return Err(input(PERF_USAGE));
-    };
-    match action.as_str() {
-        "record" => perf_record(rest),
-        "compare" => perf_compare(rest),
-        "gate" => perf_gate(rest),
-        other => Err(input(format!("unknown perf action `{other}`\n{PERF_USAGE}"))),
     }
 }
 
-// ---------------------------------------------------------------------
-// `qbss quality` — pinned competitive-ratio baselines, exact gate
-// ---------------------------------------------------------------------
+/// Records `names` with one folded span profile per scenario, captured
+/// through a private profile ring.
+fn record_profiled(names: &[String], config: PerfConfig) -> Result<PerfBaseline, CliError> {
+    let (baseline, dropped) = {
+        let (ring, _telemetry) = init_profile_ring()?;
+        let b = perf::record_profiled(names, config, Some(&ring))?;
+        (b, ring.dropped())
+    };
+    if dropped > 0 {
+        warn_user(&format!(
+            "profile ring dropped {dropped} span record(s); the folded profiles are truncated"
+        ));
+    }
+    Ok(baseline)
+}
 
-const QUALITY_USAGE: &str = "usage: qbss quality record  [--out FILE] [--scenarios LIST] [--shards S] [--trace FILE]\n       \
-                              qbss quality compare BASE NEW\n       \
-                              qbss quality gate    --base FILE [--new FILE] [--shards S] [--explain]";
+fn gate_usage(kind: &str) -> String {
+    format!(
+        "usage: qbss {kind} record  [--out FILE] [--scenarios LIST] [--trace FILE]\n                         \
+         [KIND FLAGS]\n       \
+         qbss {kind} compare BASE NEW\n       \
+         qbss {kind} gate    --base FILE [--new FILE] [--explain]\n       \
+         (`qbss help` lists each kind's record flags)"
+    )
+}
 
-/// Loads and parses a quality baseline: a missing file is an I/O
-/// failure, a schema violation is bad input.
-fn load_quality_baseline(path: &str) -> Result<QualityBaseline, CliError> {
+/// Loads a baseline: a missing file is an I/O failure, a schema
+/// violation is bad input.
+fn load<G: Gate>(path: &str) -> Result<G, CliError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError::Io(format!("cannot read {path}: {e}")))?;
-    QualityBaseline::parse(&text).map_err(|e| input(format!("{path}: {e}")))
+    G::parse(&text).map_err(|e| input(format!("{path}: {e}")))
 }
 
-/// `--scenarios a,b,c` (empty = all scenarios).
-fn scenario_names(flags: &Flags) -> Vec<String> {
-    flags.get("scenarios").map_or_else(Vec::new, |s| {
+fn gate_record<G: GateKind>(args: &[String]) -> Result<(), CliError> {
+    let known = [&["out", "scenarios", "trace"][..], G::RECORD_FLAGS].concat();
+    let flags = Flags::parse_with_switches(args, &known, &["profile"])?;
+    let names: Vec<String> = flags.get("scenarios").map_or_else(Vec::new, |s| {
         s.split(',').map(str::trim).filter(|t| !t.is_empty()).map(String::from).collect()
-    })
-}
-
-fn quality_record(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags::parse(args, &["out", "scenarios", "shards", "trace"])?;
-    let _telemetry = init_telemetry(&flags)?;
-    let _span = qbss_telemetry::span!("cli.quality.record");
-    let names = scenario_names(&flags);
-    let shards = flags.usize("shards", 0)?;
-    let baseline = quality::record(&names, shards).map_err(|e| input(e.to_string()))?;
-    let json = baseline.to_json();
-    match flags.get("out") {
-        Some(path) => {
-            std::fs::write(path, &json)
-                .map_err(|e| CliError::Io(format!("cannot write {path}: {e}")))?;
-            status_user(&format!(
-                "wrote quality baseline ({} scenario(s)) to {path}",
-                baseline.scenarios.len()
-            ));
-        }
-        None => print!("{json}"),
-    }
-    Ok(())
-}
-
-fn quality_compare(args: &[String]) -> Result<(), CliError> {
-    let Some((base_path, rest)) = args.split_first() else {
-        return Err(input(format!("quality compare needs BASE and NEW files\n{QUALITY_USAGE}")));
+    });
+    let baseline = G::record(&names, &flags)?;
+    let body = match flags.format("json", &["json", "csv"])?.as_str() {
+        "csv" => baseline.to_csv().ok_or_else(|| input("--format csv is not available"))?,
+        _ => baseline.to_json(),
     };
-    let Some((new_path, flag_args)) = rest.split_first() else {
-        return Err(input(format!("quality compare needs a NEW file\n{QUALITY_USAGE}")));
-    };
-    Flags::parse(flag_args, &[])?;
-    let base = load_quality_baseline(base_path)?;
-    let new = load_quality_baseline(new_path)?;
-    print!("{}", quality::compare(&base, &new).render());
-    Ok(())
+    let what = format!("{} baseline ({} scenario(s))", G::KIND, baseline.scenario_names().len());
+    write_text_out(&flags, &body, &what)
 }
 
-fn quality_gate(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags::parse_with_switches(
-        args,
-        &["base", "new", "shards", "explain", "trace"],
-        &["explain"],
-    )?;
-    let _telemetry = init_telemetry(&flags)?;
-    let _span = qbss_telemetry::span!("cli.quality.gate");
-    let base_path = flags.get("base").ok_or_else(|| input("--base FILE is required"))?;
-    let base = load_quality_baseline(base_path)?;
-    let new = match flags.get("new") {
-        Some(path) => load_quality_baseline(path)?,
-        // No --new: re-evaluate the baseline's own scenarios live. The
-        // seeds are pinned, so a clean gate means byte-equal statistics.
-        None => {
-            let names: Vec<String> = base.scenarios.keys().cloned().collect();
-            quality::record(&names, flags.usize("shards", 0)?)
-                .map_err(|e| input(e.to_string()))?
-        }
-    };
-    let report = quality::compare(&base, &new);
-    // `--explain` names the reproducible worst cell (scenario, seed,
-    // instance) for every regression, so a CI failure can be
-    // regenerated and `qbss explain`-ed offline.
-    if flags.switch("explain")? {
-        print!("{}", report.render_explain());
-    } else {
-        print!("{}", report.render());
-    }
-    if report.is_clean() {
-        return Ok(());
-    }
-    // An intentional ratio change (algorithm fix, new scenario shape)
-    // is accepted by re-recording the baseline, never by loosening the
-    // comparison — the gate is exact.
-    if std::env::var("QBSS_BLESS").is_ok_and(|v| v == "1") {
-        std::fs::write(base_path, new.to_json())
-            .map_err(|e| CliError::Io(format!("cannot write {base_path}: {e}")))?;
-        status_user(&format!("QBSS_BLESS=1: re-blessed {base_path} with the new measurements"));
-        return Ok(());
-    }
-    Err(CliError::Gate(format!(
-        "{} quality regression(s) against {base_path} (rerun with QBSS_BLESS=1 to re-bless)",
-        report.regressions.len()
-    )))
-}
-
-/// `qbss quality` — record pinned competitive-ratio baselines, diff
-/// them, gate CI exactly.
-pub fn quality_cmd(args: &[String]) -> Result<(), CliError> {
-    let Some((action, rest)) = args.split_first() else {
-        return Err(input(QUALITY_USAGE));
-    };
-    match action.as_str() {
-        "record" => quality_record(rest),
-        "compare" => quality_compare(rest),
-        "gate" => quality_gate(rest),
-        other => Err(input(format!("unknown quality action `{other}`\n{QUALITY_USAGE}"))),
-    }
-}
-
-// ---------------------------------------------------------------------
-// `qbss complexity` — deterministic op counters, exact asymptotic gate
-// ---------------------------------------------------------------------
-
-const COMPLEXITY_USAGE: &str = "usage: qbss complexity record  [--out FILE] [--scenarios LIST] [--format json|csv] [--trace FILE]\n       \
-                                 qbss complexity compare BASE NEW\n       \
-                                 qbss complexity gate    --base FILE [--new FILE] [--explain]";
-
-/// Loads and parses a complexity baseline: a missing file is an I/O
-/// failure, a schema violation is bad input.
-fn load_complexity_baseline(path: &str) -> Result<ComplexityBaseline, CliError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError::Io(format!("cannot read {path}: {e}")))?;
-    ComplexityBaseline::parse(&text).map_err(|e| input(format!("{path}: {e}")))
-}
-
-fn complexity_record(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags::parse(args, &["out", "scenarios", "format", "trace"])?;
-    let _telemetry = init_telemetry(&flags)?;
-    let _span = qbss_telemetry::span!("cli.complexity.record");
-    let names = scenario_names(&flags);
-    let baseline = complexity::record(&names).map_err(|e| input(e.to_string()))?;
-    let body = match flags.get("format").unwrap_or("json") {
-        "json" => baseline.to_json(),
-        "csv" => baseline.to_csv(),
-        other => return Err(input(format!("unknown format `{other}` (expected json|csv)"))),
-    };
-    match flags.get("out") {
-        Some(path) => {
-            std::fs::write(path, &body)
-                .map_err(|e| CliError::Io(format!("cannot write {path}: {e}")))?;
-            status_user(&format!(
-                "wrote complexity baseline ({} scenario(s)) to {path}",
-                baseline.scenarios.len()
-            ));
-        }
-        None => print!("{body}"),
-    }
-    Ok(())
-}
-
-fn complexity_compare(args: &[String]) -> Result<(), CliError> {
-    let Some((base_path, rest)) = args.split_first() else {
+fn gate_compare<G: GateKind>(args: &[String]) -> Result<(), CliError> {
+    let [base, new] = args else {
         return Err(input(format!(
-            "complexity compare needs BASE and NEW files\n{COMPLEXITY_USAGE}"
+            "{} compare needs BASE and NEW files\n{}",
+            G::KIND,
+            gate_usage(G::KIND)
         )));
     };
-    let Some((new_path, flag_args)) = rest.split_first() else {
-        return Err(input(format!("complexity compare needs a NEW file\n{COMPLEXITY_USAGE}")));
-    };
-    Flags::parse(flag_args, &[])?;
-    let base = load_complexity_baseline(base_path)?;
-    let new = load_complexity_baseline(new_path)?;
-    print!("{}", complexity::compare(&base, &new).render());
+    print!("{}", G::compare(&load(base)?, &load(new)?).render());
     Ok(())
 }
 
-fn complexity_gate(args: &[String]) -> Result<(), CliError> {
-    let flags =
-        Flags::parse_with_switches(args, &["base", "new", "explain", "trace"], &["explain"])?;
-    let _telemetry = init_telemetry(&flags)?;
-    let _span = qbss_telemetry::span!("cli.complexity.gate");
+/// Gates a new record against a committed baseline: exit 0 when clean,
+/// exit 3 ([`CliError::Gate`]) on any regression, unless `QBSS_BLESS=1`
+/// re-blesses the baseline with the new record instead.
+fn gate_check<G: GateKind>(args: &[String]) -> Result<(), CliError> {
+    let flags = Flags::parse_with_switches(args, &["base", "new", "explain"], &["explain"])?;
     let base_path = flags.get("base").ok_or_else(|| input("--base FILE is required"))?;
-    let base = load_complexity_baseline(base_path)?;
+    let base: G = load(base_path)?;
     let new = match flags.get("new") {
-        Some(path) => load_complexity_baseline(path)?,
-        // No --new: re-count the baseline's own scenarios live. The
-        // counters are deterministic, so a clean gate means byte-equal
-        // counts at every grid point.
-        None => {
-            let names: Vec<String> = base.scenarios.keys().cloned().collect();
-            complexity::record(&names).map_err(|e| input(e.to_string()))?
-        }
+        Some(path) => load(path)?,
+        None => base.remeasure()?,
     };
-    let report = complexity::compare(&base, &new);
-    // `--explain` names the counter, grid point, and old → new counts
-    // for every regression.
+    let report = G::compare(&base, &new);
+    // `--explain` names everything behind the verdict, so a CI failure
+    // is readable from the log without a local rerun.
     if flags.switch("explain")? {
         print!("{}", report.render_explain());
     } else {
@@ -1617,32 +1399,42 @@ fn complexity_gate(args: &[String]) -> Result<(), CliError> {
     if report.is_clean() {
         return Ok(());
     }
-    // An intentional work change (algorithm rewrite, new scenario
-    // shape) is accepted by re-recording the baseline, never by
-    // loosening the comparison — the gate is exact.
+    // An intentional change is accepted by re-recording the baseline,
+    // never by loosening the comparison.
     if std::env::var("QBSS_BLESS").is_ok_and(|v| v == "1") {
         std::fs::write(base_path, new.to_json())
             .map_err(|e| CliError::Io(format!("cannot write {base_path}: {e}")))?;
-        status_user(&format!("QBSS_BLESS=1: re-blessed {base_path} with the new counts"));
+        status_user(&format!("QBSS_BLESS=1: re-blessed {base_path} with the new measurements"));
         return Ok(());
     }
     Err(CliError::Gate(format!(
-        "{} complexity regression(s) against {base_path} (rerun with QBSS_BLESS=1 to re-bless)",
-        report.regressions.len()
+        "{} against {base_path} (rerun with QBSS_BLESS=1 to re-bless)",
+        report.summary()
     )))
 }
 
-/// `qbss complexity` — record deterministic op-count curves, diff them,
-/// gate CI exactly on any extra work.
-pub fn complexity_cmd(args: &[String]) -> Result<(), CliError> {
+fn gate_cmd<G: GateKind>(args: &[String]) -> Result<(), CliError> {
     let Some((action, rest)) = args.split_first() else {
-        return Err(input(COMPLEXITY_USAGE));
+        return Err(input(gate_usage(G::KIND)));
     };
     match action.as_str() {
-        "record" => complexity_record(rest),
-        "compare" => complexity_compare(rest),
-        "gate" => complexity_gate(rest),
-        other => Err(input(format!("unknown complexity action `{other}`\n{COMPLEXITY_USAGE}"))),
+        "record" => gate_record::<G>(rest),
+        "compare" => gate_compare::<G>(rest),
+        "gate" => gate_check::<G>(rest),
+        other => {
+            Err(input(format!("unknown {} action `{other}`\n{}", G::KIND, gate_usage(G::KIND))))
+        }
+    }
+}
+
+/// `qbss perf|quality|complexity` — record a kind's pinned scenarios,
+/// diff two baselines, gate CI on regressions.
+pub fn observatory(kind: &str, args: &[String]) -> Result<(), CliError> {
+    match kind {
+        "perf" => gate_cmd::<PerfBaseline>(args),
+        "quality" => gate_cmd::<QualityBaseline>(args),
+        "complexity" => gate_cmd::<ComplexityBaseline>(args),
+        other => Err(input(format!("unknown gate kind `{other}`"))),
     }
 }
 
@@ -1847,22 +1639,11 @@ fn prof_record(args: &[String]) -> Result<(), CliError> {
                 return Err(input("--repeats must be at least 1"));
             }
             let name = name.to_string();
-            let (profile, dropped) = {
-                let (ring, _telemetry) = init_profile_ring()?;
-                let mut baseline =
-                    perf::record_profiled(std::slice::from_ref(&name), config, Some(&ring))
-                        .map_err(|e| input(e.to_string()))?;
-                let p = baseline.profiles.remove(&name).ok_or_else(|| {
-                    CliError::Io(format!("scenario {name} produced no profile"))
-                })?;
-                (p, ring.dropped())
-            };
-            if dropped > 0 {
-                warn_user(&format!(
-                    "profile ring dropped {dropped} span record(s); the profile is truncated"
-                ));
-            }
-            profile
+            let mut baseline = record_profiled(std::slice::from_ref(&name), config)?;
+            baseline
+                .profiles
+                .remove(&name)
+                .ok_or_else(|| CliError::Io(format!("scenario {name} produced no profile")))?
         }
         (None, None) => {
             return Err(input(format!(
@@ -2249,11 +2030,11 @@ mod tests {
         assert!(!f.switch("audit").unwrap());
     }
 
-    fn toy_baseline(median: f64) -> Baseline {
+    fn toy_baseline(median: f64) -> PerfBaseline {
         use qbss_bench::perf::{EnvFingerprint, ScenarioStats};
         let samples = vec![median, median * 1.01, median * 0.99];
         let med = perf::median(&samples);
-        Baseline {
+        PerfBaseline {
             env: EnvFingerprint {
                 host: "test".into(),
                 os: "linux".into(),
@@ -2289,25 +2070,22 @@ mod tests {
         let b = base.to_str().unwrap();
         let s = slow.to_str().unwrap();
         // Identical baselines gate clean.
-        perf(&args(&["gate", "--base", b, "--new", b])).expect("identical baselines pass");
+        observatory("perf", &args(&["gate", "--base", b, "--new", b])).expect("identical baselines pass");
         // A 2× slowdown fails the gate with the I/O-class exit code.
-        let err = perf(&args(&["gate", "--base", b, "--new", s])).unwrap_err();
+        let err = observatory("perf", &args(&["gate", "--base", b, "--new", s])).unwrap_err();
         assert!(matches!(err, CliError::Gate(_)), "{err}");
         assert_eq!(err.exit_code(), 3);
         // …but `compare` only reports, never gates.
-        perf(&args(&["compare", b, s])).expect("compare reports without failing");
-        // A loose enough threshold lets the slowdown through.
-        perf(&args(&["gate", "--base", b, "--new", s, "--min-rel", "1.5"]))
-            .expect("custom threshold");
+        observatory("perf", &args(&["compare", b, s])).expect("compare reports without failing");
         // Missing file → I/O; broken schema → bad input; bad action → bad input.
-        assert_eq!(perf(&args(&["gate", "--base", "/no/file"])).unwrap_err().exit_code(), 3);
+        assert_eq!(observatory("perf", &args(&["gate", "--base", "/no/file"])).unwrap_err().exit_code(), 3);
         let junk = dir.join("junk.json");
         std::fs::write(&junk, "{}").unwrap();
         let err =
-            perf(&args(&["gate", "--base", b, "--new", junk.to_str().unwrap()])).unwrap_err();
+            observatory("perf", &args(&["gate", "--base", b, "--new", junk.to_str().unwrap()])).unwrap_err();
         assert_eq!(err.exit_code(), 2, "{err}");
-        assert_eq!(perf(&args(&["explode"])).unwrap_err().exit_code(), 2);
-        assert_eq!(perf(&args(&["record", "--repeats", "0"])).unwrap_err().exit_code(), 2);
+        assert_eq!(observatory("perf", &args(&["explode"])).unwrap_err().exit_code(), 2);
+        assert_eq!(observatory("perf", &args(&["record", "--repeats", "0"])).unwrap_err().exit_code(), 2);
     }
 
     #[test]
@@ -2378,7 +2156,7 @@ mod tests {
         assert_eq!(err.exit_code(), 2, "{err}");
         assert_eq!(prof(&args(&["flame"])).unwrap_err().exit_code(), 2);
         // perf record refuses the --profile/--trace combination.
-        let err = perf(&args(&[
+        let err = observatory("perf", &args(&[
             "record", "--profile", "--trace", "/tmp/t.jsonl", "--scenarios", "ci-small",
         ]))
         .unwrap_err();

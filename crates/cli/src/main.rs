@@ -24,18 +24,14 @@
 //!   per-phase timing tree (text or canonical JSON);
 //! * `qbss trace report` — render a trace as a self-contained HTML
 //!   report (phase tree, span waterfall, metrics tables);
-//! * `qbss perf record|compare|gate` — statistical perf baselines
-//!   (median/MAD over warm repeats, optionally with `--profile`
-//!   call-path attribution) and a noise-aware regression gate
-//!   (exit 3 on regression);
-//! * `qbss quality record|compare|gate` — pinned competitive-ratio
-//!   scenarios digested into per-group max/mean/p95 and bound headroom;
-//!   the gate is exact (seeds pinned, aggregates byte-deterministic) and
-//!   exits 3 on any worsened max ratio or headroom;
-//! * `qbss complexity record|compare|gate` — deterministic op-count
-//!   curves: pinned scaling scenarios swept over n-grids, per-counter
-//!   log-log exponent fits, and an exact gate that exits 3 on any
-//!   increased count at any grid point;
+//! * `qbss perf|quality|complexity record|compare|gate` — the three
+//!   observatories behind one protocol: pinned scenarios recorded into
+//!   schema-tagged baselines, diffed, and gated (exit 3 on regression;
+//!   `QBSS_BLESS=1` re-blesses the baseline instead). `perf` times warm
+//!   repeats under a noise-aware rule with `--profile` call-path blame;
+//!   `quality` locks per-group competitive ratios and bound headroom
+//!   exactly; `complexity` locks deterministic op counts over n-grids
+//!   exactly, with a +0.05 tolerance on fitted exponents;
 //! * `qbss explain` — factor one cell's energy ratio into
 //!   query × split × sched losses, print per-job decision rows with the
 //!   blame job, optionally render an ALG-vs-OPT HTML timeline;
@@ -58,7 +54,7 @@
 //!
 //! Exit codes are part of the contract (scripts rely on them):
 //! `0` success, `1` algorithm failure on valid input, `2` bad input
-//! (flags or instance data), `3` file-system failure or a perf-gate
+//! (flags or instance data), `3` file-system failure or a gate
 //! regression. A `qbss serve` process that receives SIGTERM or ctrl-c
 //! drains in-flight requests and exits `0` — a signalled drain is a
 //! clean shutdown, not a failure.
@@ -91,9 +87,7 @@ fn main() -> ExitCode {
         "bounds" => commands::bounds(rest),
         "rho" => commands::rho(rest),
         "trace" => commands::trace(rest),
-        "perf" => commands::perf(rest),
-        "quality" => commands::quality_cmd(rest),
-        "complexity" => commands::complexity_cmd(rest),
+        "perf" | "quality" | "complexity" => commands::observatory(cmd, rest),
         "explain" => commands::explain(rest),
         "prof" => commands::prof(rest),
         "version" | "--version" | "-V" => commands::version(),

@@ -7,6 +7,8 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use qbss_bench::gate::Gate;
+
 fn qbss(args: &[&str]) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_qbss"));
     cmd.args(args).env_remove("QBSS_LOG");
@@ -242,123 +244,162 @@ fn aggregate_bytes_do_not_depend_on_telemetry() {
     assert!(std::fs::metadata(format!("{}.instr.json", plain.display())).is_ok());
 }
 
-#[test]
-fn perf_record_compare_and_gate_end_to_end() {
-    let base = tmp("perf_base.json");
-    // Record the smallest scenario once, cheaply.
-    let record = &[
-        "perf", "record", "--scenarios", "ci-small", "--repeats", "2", "--warmup", "0",
-        "--shards", "1", "--out",
-    ];
-    let out = run_ok(qbss(record).arg(&base));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("wrote perf baseline"));
-    let text = std::fs::read_to_string(&base).expect("baseline written");
-    let recorded = qbss_bench::perf::Baseline::parse(&text).expect("schema-valid baseline");
-    assert!(recorded.scenarios.contains_key("ci-small"));
+/// One gate kind as the shared end-to-end protocol check drives it.
+struct GateCase {
+    kind: &'static str,
+    /// `record` flags that pick one small scenario.
+    record: &'static [&'static str],
+    scenario: &'static str,
+    /// Gate the record against itself with `--new` (wall clock is not
+    /// repeatable) instead of a live re-measure (pinned kinds are).
+    self_gate_new: bool,
+    /// Rewrites a recorded baseline to claim better numbers than the
+    /// code delivers, so gating the real numbers against it regresses.
+    doctor: fn(&str) -> String,
+    /// What `compare DOCTORED BASE` prints for the regression.
+    worse: &'static str,
+    /// What `gate --explain` must print for the doctored regression.
+    explain: &'static [&'static str],
+    /// What the gate's exit-3 message must carry on stderr.
+    stderr: &'static str,
+}
 
-    // Gating a baseline against itself never regresses.
-    let out = run_ok(qbss(&["perf", "gate", "--base"]).arg(&base).arg("--new").arg(&base));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("no perf regression"));
-
-    // Doctor a copy 10× slower: compare reports it (exit 0), gate
-    // fails it (exit 3), and QBSS_BLESS=1 re-blesses instead.
-    let mut slow = recorded.clone();
-    for s in slow.scenarios.values_mut() {
-        s.median_ms *= 10.0;
-        s.min_ms *= 10.0;
+fn faster_perf(text: &str) -> String {
+    let mut b = qbss_bench::perf::Baseline::parse(text).expect("schema-valid perf baseline");
+    for s in b.scenarios.values_mut() {
+        s.median_ms /= 10.0;
+        s.mad_ms /= 10.0;
+        s.min_ms /= 10.0;
         for x in &mut s.samples_ms {
-            *x *= 10.0;
+            *x /= 10.0;
         }
     }
-    let slow_path = tmp("perf_slow.json");
-    std::fs::write(&slow_path, slow.to_json()).expect("write doctored baseline");
+    b.to_json()
+}
 
-    let out = run_ok(qbss(&["perf", "compare"]).arg(&base).arg(&slow_path));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("REGRESSED"));
+fn better_quality(text: &str) -> String {
+    let mut b = qbss_bench::QualityBaseline::parse(text).expect("schema-valid quality baseline");
+    for g in b.scenarios.values_mut().flat_map(|s| &mut s.groups) {
+        g.max *= 0.5;
+        if let Some(h) = g.headroom.as_mut() {
+            *h *= 0.5;
+        }
+    }
+    b.to_json()
+}
 
-    let gate = qbss(&["perf", "gate", "--base"])
-        .arg(&base)
-        .arg("--new")
-        .arg(&slow_path)
-        .output()
-        .expect("runs");
-    assert_eq!(gate.status.code(), Some(3), "regression must exit 3");
-    assert!(String::from_utf8_lossy(&gate.stderr).contains("regressed"));
+fn cheaper_complexity(text: &str) -> String {
+    let mut b =
+        qbss_bench::ComplexityBaseline::parse(text).expect("schema-valid complexity baseline");
+    for c in b.scenarios.values_mut().flat_map(|s| &mut s.counters) {
+        for x in &mut c.counts {
+            *x /= 2;
+        }
+    }
+    b.to_json()
+}
 
-    let blessed_base = tmp("perf_bless.json");
-    std::fs::copy(&base, &blessed_base).expect("copy baseline");
-    run_ok(
-        qbss(&["perf", "gate", "--base"])
-            .arg(&blessed_base)
-            .arg("--new")
-            .arg(&slow_path)
-            .env("QBSS_BLESS", "1"),
+const PERF: GateCase = GateCase {
+    kind: "perf",
+    record: &["--scenarios", "ci-small", "--repeats", "2", "--warmup", "0", "--shards", "1"],
+    scenario: "ci-small",
+    self_gate_new: true,
+    doctor: faster_perf,
+    worse: "REGRESSED",
+    explain: &["REGRESSED", "limit = base + max(3×mad, 0.25×base)"],
+    stderr: "regressed",
+};
+
+const QUALITY: GateCase = GateCase {
+    kind: "quality",
+    record: &["--scenarios", "multi-machine"],
+    scenario: "multi-machine",
+    self_gate_new: false,
+    doctor: better_quality,
+    worse: "WORSE",
+    explain: &["scenario `multi-machine`", "worst cell: seed"],
+    stderr: "quality regression",
+};
+
+const COMPLEXITY: GateCase = GateCase {
+    kind: "complexity",
+    record: &["--scenarios", "oa-stream"],
+    scenario: "oa-stream",
+    self_gate_new: false,
+    doctor: cheaper_complexity,
+    worse: "WORSE",
+    explain: &["scenario `oa-stream` counter `oa.", "op count at n="],
+    stderr: "complexity regression",
+};
+
+/// Record, self-gate (exit 0), doctored base (compare exit 0, gate
+/// `--explain` exit 3), `QBSS_BLESS=1` re-bless and an unknown scenario
+/// (exit 2), the same for every gate kind.
+fn gate_end_to_end(case: &GateCase) {
+    let kind = case.kind;
+    let base = tmp(&format!("{kind}_base.json"));
+    let out = run_ok(qbss(&[kind, "record"]).args(case.record).arg("--out").arg(&base));
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains(&format!("wrote {kind} baseline")),
+        "{kind}"
     );
-    let blessed = std::fs::read_to_string(&blessed_base).expect("re-blessed");
-    assert_eq!(blessed, slow.to_json(), "bless replaces the baseline with the new numbers");
+    let text = std::fs::read_to_string(&base).expect("baseline written");
+    assert!(text.contains(&format!("\"{}\": {{", case.scenario)), "{kind}: {text}");
+
+    // Gating a record against itself never regresses.
+    let gate_cmd = |b: &std::path::Path| {
+        let mut cmd = qbss(&[kind, "gate", "--base"]);
+        cmd.arg(b);
+        if case.self_gate_new {
+            cmd.arg("--new").arg(&base);
+        }
+        cmd
+    };
+    let out = run_ok(&mut gate_cmd(&base));
+    let verdict = format!("no {kind} regression");
+    assert!(String::from_utf8_lossy(&out.stdout).contains(&verdict), "{kind}");
+
+    // A baseline doctored to claim better numbers: compare reports
+    // the regression (exit 0), gate fails on it (exit 3) and
+    // --explain names it.
+    let doctored = tmp(&format!("{kind}_doctored.json"));
+    std::fs::write(&doctored, (case.doctor)(&text)).expect("write doctored baseline");
+    let out = run_ok(qbss(&[kind, "compare"]).arg(&doctored).arg(&base));
+    let report = String::from_utf8_lossy(&out.stdout);
+    assert!(report.contains(case.worse), "{kind}: {report}");
+    let gate = gate_cmd(&doctored).arg("--explain").output().expect("runs");
+    assert_eq!(gate.status.code(), Some(3), "{kind}: regression must exit 3");
+    let stdout = String::from_utf8_lossy(&gate.stdout);
+    for needle in case.explain {
+        assert!(stdout.contains(needle), "{kind}: missing `{needle}` in:\n{stdout}");
+    }
+    assert!(String::from_utf8_lossy(&gate.stderr).contains(case.stderr), "{kind}");
+
+    // QBSS_BLESS=1 re-blesses with the new record instead of failing.
+    run_ok(gate_cmd(&doctored).env("QBSS_BLESS", "1"));
+    let blessed = std::fs::read_to_string(&doctored).expect("re-blessed");
+    assert_eq!(blessed, text, "{kind}: bless replaces the baseline with the new record");
+    let out = run_ok(qbss(&[kind, "compare"]).arg(&base).arg(&doctored));
+    assert!(String::from_utf8_lossy(&out.stdout).contains(&verdict), "{kind}");
 
     // Unknown scenario names are bad input.
-    let bad = qbss(&["perf", "record", "--scenarios", "bogus"]).output().expect("runs");
-    assert_eq!(bad.status.code(), Some(2));
+    let bad = qbss(&[kind, "record", "--scenarios", "bogus"]).output().expect("runs");
+    assert_eq!(bad.status.code(), Some(2), "{kind}");
+}
+
+#[test]
+fn perf_record_compare_and_gate_end_to_end() {
+    gate_end_to_end(&PERF);
 }
 
 #[test]
 fn quality_record_gate_and_bless_end_to_end() {
-    let base = tmp("quality_base.json");
-    // Record the smallest pinned scenario; the gate is exact, so the
-    // same binary re-measured must be byte-equal per scenario.
-    let out = run_ok(
-        qbss(&["quality", "record", "--scenarios", "multi-machine", "--out"]).arg(&base),
-    );
-    assert!(String::from_utf8_lossy(&out.stderr).contains("wrote quality baseline"));
-    let text = std::fs::read_to_string(&base).expect("baseline written");
-    let recorded = qbss_bench::quality::QualityBaseline::parse(&text).expect("schema-valid");
-    assert!(recorded.scenarios.contains_key("multi-machine"));
+    gate_end_to_end(&QUALITY);
+}
 
-    // Gate against a live re-measure: pinned seeds, clean gate.
-    let out = run_ok(qbss(&["quality", "gate", "--base"]).arg(&base));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("no quality regression"));
-
-    // Doctor the committed base to claim a *better* max than measured:
-    // the re-measure is now worse than the baseline, the gate exits 3,
-    // and --explain names the offending scenario and worst cell.
-    let mut doctored = recorded.clone();
-    for s in doctored.scenarios.values_mut() {
-        for g in &mut s.groups {
-            g.max *= 0.5;
-            if let Some(h) = g.headroom.as_mut() {
-                *h *= 0.5;
-            }
-        }
-    }
-    let doctored_path = tmp("quality_doctored.json");
-    std::fs::write(&doctored_path, doctored.to_json()).expect("write doctored baseline");
-    let gate = qbss(&["quality", "gate", "--explain", "--base"])
-        .arg(&doctored_path)
-        .output()
-        .expect("runs");
-    assert_eq!(gate.status.code(), Some(3), "exact gate must fail on any increase");
-    let stdout = String::from_utf8_lossy(&gate.stdout);
-    assert!(stdout.contains("scenario `multi-machine`"), "{stdout}");
-    assert!(stdout.contains("worst cell: seed"), "{stdout}");
-    assert!(String::from_utf8_lossy(&gate.stderr).contains("quality regression"));
-
-    // QBSS_BLESS=1 re-records the baseline instead of failing.
-    run_ok(
-        qbss(&["quality", "gate", "--base"]).arg(&doctored_path).env("QBSS_BLESS", "1"),
-    );
-    let blessed = std::fs::read_to_string(&doctored_path).expect("re-blessed");
-    let blessed = qbss_bench::quality::QualityBaseline::parse(&blessed).expect("valid");
-    assert_eq!(
-        blessed.scenarios, recorded.scenarios,
-        "bless restores the measured statistics (build info may differ)"
-    );
-
-    // compare is non-fatal; unknown scenarios are bad input.
-    let out = run_ok(qbss(&["quality", "compare"]).arg(&base).arg(&doctored_path));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("no quality regression"));
-    let bad = qbss(&["quality", "record", "--scenarios", "bogus"]).output().expect("runs");
-    assert_eq!(bad.status.code(), Some(2));
+#[test]
+fn complexity_record_gate_and_bless_end_to_end() {
+    gate_end_to_end(&COMPLEXITY);
 }
 
 #[test]
@@ -409,6 +450,29 @@ fn version_reports_the_build_fingerprint() {
     let stdout = String::from_utf8(out.stdout).expect("utf8");
     assert!(stdout.starts_with("qbss "), "{stdout}");
     assert!(stdout.contains('(') && stdout.contains(')'), "git state present: {stdout}");
+}
+
+#[test]
+fn version_describes_the_build_checkout_not_the_working_directory() {
+    // A fresh, unrelated git repository with a commit of its own: the
+    // fingerprint must still describe the checkout qbss was built from.
+    let dir = tmp("unrelated-repo");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp repo");
+    let git = |args: &[&str]| {
+        let _ = Command::new("git").args(args).current_dir(&dir).output();
+    };
+    git(&["init", "-q"]);
+    git(&["-c", "user.name=t", "-c", "user.email=t@example.com", "commit", "-q",
+        "--allow-empty", "-m", "unrelated"]);
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let from_root = run_ok(qbss(&["--version"]).current_dir(root)).stdout;
+    let from_repo = run_ok(qbss(&["--version"]).current_dir(&dir)).stdout;
+    assert_eq!(
+        String::from_utf8_lossy(&from_repo),
+        String::from_utf8_lossy(&from_root),
+        "the working directory leaked into the build fingerprint"
+    );
 }
 
 #[test]
