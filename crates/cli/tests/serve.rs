@@ -557,16 +557,23 @@ fn over_budget_sweeps_are_shed_with_typed_429s() {
     let (child, addr) = start_server(&["--budget", "20", "--workers", "4"]);
     wait_ready(&addr);
 
-    // 150 × 9 × 2 = 2700 cells: far over budget, admitted only via the
-    // idle-server rule, and long-running enough to hold the budget
-    // while the cheap probes below race into it.
-    let big = r#"{"count": 150, "n": 12, "alg": "all", "alpha": [2, 3]}"#;
+    // 1000 × 9 × 2 = 18000 cells: far over budget, admitted only via
+    // the idle-server rule, and long-running enough (most of a second
+    // in a release build) to hold the budget while the cheap probes
+    // below race into it.
+    let big = r#"{"count": 1000, "n": 12, "alg": "all", "alpha": [2, 3]}"#;
+    let big_cost = 18_000.0;
     let probe = r#"{"count": 2, "n": 5, "alg": "avrq", "alpha": 2.5}"#;
     let bg_addr = addr.clone();
     let parked = std::thread::spawn(move || http(&bg_addr, "POST", "/sweep", big));
-    // Let the big sweep claim the budget, then offer more work: while
-    // it runs, in-flight cost exceeds the budget, so *any* probe sheds.
-    std::thread::sleep(Duration::from_millis(100));
+    // Wait until /healthz shows the big sweep holding the budget, then
+    // offer more work: while it runs, in-flight cost exceeds the
+    // budget, so *any* probe sheds.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while in_flight_cost(&addr) < big_cost {
+        assert!(Instant::now() < deadline, "the big sweep never showed up in /healthz");
+        std::thread::sleep(Duration::from_millis(5));
+    }
     let mut saw_429 = false;
     let mut retry_after = false;
     for _ in 0..20 {
@@ -596,6 +603,18 @@ fn over_budget_sweeps_are_shed_with_typed_429s() {
 
     sigterm(&child);
     assert_eq!(wait_exit(child), Some(0));
+}
+
+/// The admission cost in flight, as `/healthz` reports it.
+fn in_flight_cost(addr: &str) -> f64 {
+    let (status, _, body) = http(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200, "{body}");
+    qbss_telemetry::json_parse(&body)
+        .unwrap_or_else(|e| panic!("unparseable /healthz ({e}): {body}"))
+        .get("budget")
+        .and_then(|b| b.get("in_flight_cost"))
+        .and_then(qbss_telemetry::JsonValue::as_f64)
+        .unwrap_or_else(|| panic!("no budget.in_flight_cost in {body}"))
 }
 
 /// Extracts a top-level number field from a JSON response body.

@@ -66,9 +66,10 @@ pub fn try_derived_instance(
     inst: &QbssInstance,
     decisions: &[Decision],
 ) -> Result<Instance, ValidationError> {
+    let positions = inst.positions();
     let mut jobs = Vec::with_capacity(2 * decisions.len());
     for dec in decisions {
-        let Some(j) = inst.job(dec.job) else {
+        let Some(j) = positions.get(&dec.job).map(|&pos| &inst.jobs[pos]) else {
             return Err(ValidationError::UnknownJob { job: dec.job });
         };
         if dec.queried {

@@ -16,6 +16,8 @@
 //! [`QJob::new_unchecked`] and funneled through
 //! [`QbssInstance::validate`].
 
+use std::collections::HashMap;
+
 use speed_scaling::job::{Instance, Job, JobId};
 use speed_scaling::time::{Interval, EPS};
 
@@ -245,6 +247,16 @@ impl QbssInstance {
     /// Looks a job up by id.
     pub fn job(&self, id: JobId) -> Option<&QJob> {
         self.jobs.iter().find(|j| j.id == id)
+    }
+
+    /// Maps each job id to the position of its first job — the job
+    /// [`QbssInstance::job`] finds — for callers that look up many ids.
+    pub(crate) fn positions(&self) -> HashMap<JobId, usize> {
+        let mut map = HashMap::with_capacity(self.jobs.len());
+        for (pos, j) in self.jobs.iter().enumerate() {
+            map.entry(j.id).or_insert(pos);
+        }
+        map
     }
 
     /// Whether all jobs share (numerically) the release time `r`.

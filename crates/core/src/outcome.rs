@@ -73,9 +73,10 @@ impl QbssOutcome {
                 expected: inst.len(),
             });
         }
+        let positions = inst.positions();
         let mut seen: Vec<bool> = vec![false; inst.len()];
         for dec in &self.decisions {
-            let Some(pos) = inst.jobs.iter().position(|j| j.id == dec.job) else {
+            let Some(&pos) = positions.get(&dec.job) else {
                 return Err(ValidationError::UnknownJob { job: dec.job });
             };
             if seen[pos] {

@@ -54,6 +54,22 @@ pub const WORK_COUNTERS: &[WorkCounter] = &[
         "OPT-energy memo miss (YDS solve performed and cached)",
     ),
     (
+        "check.live_visits",
+        "live slice visited at a grid midpoint by the schedule checker's overlap sweep",
+    ),
+    (
+        "check.segments",
+        "elementary grid segment swept by the schedule checker",
+    ),
+    (
+        "edf.heap_pops",
+        "finished or expired task dropped from the EDF ready heap",
+    ),
+    (
+        "edf.heap_pushes",
+        "released task pushed onto the EDF ready heap",
+    ),
+    (
         "fw.gradient_evals",
         "per-interval gradient evaluation inside one Frank-Wolfe iteration",
     ),

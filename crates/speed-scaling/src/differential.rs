@@ -1,0 +1,315 @@
+//! Differential tests: [`edf_schedule`] and [`Schedule::check`] against
+//! the quadratic versions they replaced, on seeded instances shaped like
+//! each generator family. Both must give the same `Result`, bit for bit:
+//! the same slices, the same deadline miss, the same first violation.
+
+use std::collections::BTreeSet;
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+use crate::avr::avr_profile;
+use crate::bkp::bkp_profile;
+use crate::edf::{edf_schedule, reference_edf_schedule, EdfInfeasible, EdfTask};
+use crate::job::{Instance, Job};
+use crate::multi::avr_m::avr_m;
+use crate::oa::oa_profile;
+use crate::profile::SpeedProfile;
+use crate::schedule::{Schedule, ScheduleError, Slice, WorkRequirement};
+use crate::time::EPS;
+use crate::yds::yds_profile;
+
+#[derive(Debug, Clone, Copy)]
+enum Family {
+    /// Releases uniform over a horizon growing with n.
+    Online,
+    /// Exponential inter-arrival times.
+    Poisson,
+    /// Common release 0, common deadline 8.
+    CommonDeadline,
+    /// Common release 0, deadlines 2^0 … 2^5.
+    PowersOfTwo,
+    /// Common release 0, deadlines uniform in [1, 50].
+    Arbitrary,
+    /// Endpoints on a unit grid, each nudged by up to 1.5·EPS, so event
+    /// times nearly coincide and the EPS merges decide.
+    Crowded,
+}
+
+const FAMILIES: [Family; 6] = [
+    Family::Online,
+    Family::Poisson,
+    Family::CommonDeadline,
+    Family::PowersOfTwo,
+    Family::Arbitrary,
+    Family::Crowded,
+];
+
+const SIZES: [usize; 5] = [1, 3, 8, 20, 50];
+const SEEDS: u64 = 5;
+
+fn nudge(rng: &mut StdRng) -> f64 {
+    f64::from(rng.gen_range(-3..=3i32)) * 0.5 * EPS
+}
+
+/// `n` jobs shaped like `family`. About half are split at an interior
+/// point into a query part and an exact-work part that share the job id,
+/// as a queried job is.
+fn instance(family: Family, n: usize, seed: u64) -> Instance {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut arrival = 0.0_f64;
+    let mut jobs = Vec::with_capacity(2 * n);
+    for id in 0..n as u32 {
+        let (release, deadline) = match family {
+            Family::Online => {
+                let r = rng.gen_range(0.0..=n as f64 / 4.0);
+                (r, r + rng.gen_range(0.5..=4.0))
+            }
+            Family::Poisson => {
+                let u: f64 = rng.gen_range(f64::MIN_POSITIVE..=1.0);
+                arrival += -u.ln() / 2.0;
+                (arrival, arrival + rng.gen_range(0.5..=4.0))
+            }
+            Family::CommonDeadline => (0.0, 8.0),
+            Family::PowersOfTwo => (0.0, f64::from(rng.gen_range(0..=5i32)).exp2()),
+            Family::Arbitrary => (0.0, rng.gen_range(1.0..=50.0)),
+            Family::Crowded => {
+                let r = f64::from(rng.gen_range(0..8u32)) + nudge(&mut rng);
+                (r, r + f64::from(rng.gen_range(1..4u32)) + nudge(&mut rng))
+            }
+        };
+        let w = rng.gen_range(0.5..=4.0);
+        if rng.gen_bool(0.5) {
+            let tau = match family {
+                Family::Crowded => release.round() + 0.5 + nudge(&mut rng),
+                _ => release + (deadline - release) * rng.gen_range(0.2..=0.8),
+            };
+            jobs.push(Job::new(id, release, tau, w * rng.gen_range(0.1..=0.9)));
+            jobs.push(Job::new(id, tau, deadline, w * rng.gen_range(0.0..=1.0)));
+        } else {
+            jobs.push(Job::new(id, release, deadline, w));
+        }
+    }
+    Instance::new(jobs)
+}
+
+/// Every seeded instance of the suite, labelled.
+fn instances() -> impl Iterator<Item = (Family, String, Instance)> {
+    FAMILIES.into_iter().flat_map(|family| {
+        SIZES.into_iter().flat_map(move |n| {
+            (0..SEEDS).map(move |seed| {
+                let label = format!("{family:?} n={n} seed={seed}");
+                (family, label, instance(family, n, 1000 * n as u64 + seed))
+            })
+        })
+    })
+}
+
+/// The profiles the single-machine algorithms hand to EDF, and each
+/// one scaled by 0.5, which leaves some window short of work.
+fn profiles(inst: &Instance) -> Vec<(String, SpeedProfile)> {
+    let mut out = vec![
+        ("avr".to_string(), avr_profile(inst)),
+        ("oa".to_string(), oa_profile(inst)),
+        ("yds".to_string(), yds_profile(inst)),
+    ];
+    if inst.len() <= 80 {
+        out.push(("bkp".to_string(), bkp_profile(inst)));
+    }
+    let halved: Vec<_> =
+        out.iter().map(|(name, p)| (format!("{name}×0.5"), p.scale(0.5))).collect();
+    out.extend(halved);
+    out
+}
+
+type SliceBits = (u32, usize, u64, u64, u64);
+
+fn slice_bits(s: &Slice) -> SliceBits {
+    (s.job, s.machine, s.start.to_bits(), s.end.to_bits(), s.speed.to_bits())
+}
+
+type EdfBits = Result<(usize, Vec<SliceBits>), (u32, u64, u64, u64)>;
+
+fn edf_bits(r: &Result<Schedule, EdfInfeasible>) -> EdfBits {
+    match r {
+        Ok(s) => Ok((s.machines, s.slices.iter().map(slice_bits).collect())),
+        Err(e) => {
+            Err((e.job, e.window.start.to_bits(), e.window.end.to_bits(), e.missing.to_bits()))
+        }
+    }
+}
+
+#[test]
+fn edf_matches_the_reference_bit_for_bit() {
+    let (mut feasible, mut infeasible) = (0, 0);
+    for (_, label, inst) in instances() {
+        let tasks = EdfTask::from_instance(&inst);
+        let machine = inst.len() % 2;
+        for (name, profile) in profiles(&inst) {
+            let fast = edf_schedule(&tasks, &profile, machine);
+            let slow = reference_edf_schedule(&tasks, &profile, machine);
+            assert_eq!(edf_bits(&fast), edf_bits(&slow), "{label}, profile {name}");
+            if fast.is_ok() {
+                feasible += 1;
+            } else {
+                infeasible += 1;
+            }
+        }
+    }
+    assert!(feasible > 100 && infeasible > 100, "{feasible} feasible, {infeasible} infeasible");
+}
+
+#[test]
+fn edf_matches_the_reference_on_degenerate_tasks() {
+    // Zero-length and zero-work tasks, deadlines within EPS of each
+    // other and of a profile breakpoint, and identical tasks that only
+    // the index tie-break tells apart.
+    let w = |a: f64, b: f64| crate::time::Interval::new(a, b);
+    let tasks = [
+        EdfTask::new(0, w(0.0, 2.0), 1.0),
+        EdfTask::new(1, w(0.0, 2.0), 1.0),
+        EdfTask::new(2, w(1.0, 1.0), 0.0),
+        EdfTask::new(3, w(1.0, 1.0), 0.5),
+        EdfTask::new(4, w(0.5, 2.0 + 0.5 * EPS), 0.25),
+        EdfTask::new(5, w(-0.0, 2.0 - 0.5 * EPS), 0.25),
+        EdfTask::new(6, w(0.0, 1.0 + EPS), 0.5),
+        EdfTask::new(1, w(2.0, 3.0), 0.0),
+    ];
+    let profiles = [
+        SpeedProfile::new(vec![0.0, 1.0, 3.0], vec![2.0, 1.0]),
+        SpeedProfile::new(vec![0.0, 1.0 + 0.5 * EPS, 3.0], vec![1.0, 0.0]),
+        SpeedProfile::new(vec![-1.0, 4.0], vec![0.0]),
+        SpeedProfile::new(vec![0.0, 2.0], vec![4.0]),
+    ];
+    for (k, profile) in profiles.iter().enumerate() {
+        for n in 0..=tasks.len() {
+            let fast = edf_schedule(&tasks[..n], profile, 0);
+            let slow = reference_edf_schedule(&tasks[..n], profile, 0);
+            assert_eq!(edf_bits(&fast), edf_bits(&slow), "profile {k}, first {n} tasks");
+        }
+    }
+}
+
+/// The checker's verdict with every float compared by its bits: `Debug`
+/// prints each `f64` in its shortest round-trip form (NaN as `NaN`), so
+/// equal strings mean equal values, payloads of NaN aside.
+fn verdict(r: &Result<(), ScheduleError>) -> String {
+    format!("{r:?}")
+}
+
+fn variant(r: &Result<(), ScheduleError>) -> &'static str {
+    match r {
+        Ok(()) => "ok",
+        Err(ScheduleError::BadMachine(_)) => "bad machine",
+        Err(ScheduleError::MalformedSlice(_)) => "malformed",
+        Err(ScheduleError::OutsideWindow(..)) => "outside window",
+        Err(ScheduleError::MachineOverlap(..)) => "machine overlap",
+        Err(ScheduleError::JobParallelism(..)) => "job parallelism",
+        Err(ScheduleError::WrongWork(..)) => "wrong work",
+    }
+}
+
+/// The corruptions of a valid schedule the checker must reject (or, for
+/// the sub-EPS shifts, may accept), each labelled.
+fn corruptions(valid: &Schedule, rng: &mut StdRng) -> Vec<(String, Schedule)> {
+    let mut out = Vec::new();
+    if valid.slices.is_empty() {
+        return out;
+    }
+    let with = |edit: &dyn Fn(&mut Schedule)| {
+        let mut s = valid.clone();
+        edit(&mut s);
+        s
+    };
+    let k = rng.gen_range(0..valid.slices.len());
+    let last_end = valid.slices.iter().map(|s| s.end).fold(f64::MIN, f64::max);
+
+    out.push(("speed × 0.5".into(), with(&|s| s.slices.iter_mut().for_each(|x| x.speed *= 0.5))));
+    for steps in [0.5, 1.0, 2.0, 3.0] {
+        for sign in [1.0, -1.0] {
+            let by = sign * steps * EPS;
+            let label = format!("slice {k} shifted by {by:e}");
+            out.push((label, with(&|s| {
+                s.slices[k].start += by;
+                s.slices[k].end += by;
+            })));
+        }
+    }
+    out.push((format!("slice {k} copied onto a second machine"), with(&|s| {
+        let mut copy = s.slices[k];
+        copy.machine = (copy.machine + 1) % s.machines.max(2);
+        s.machines = s.machines.max(2);
+        s.slices.push(copy);
+    })));
+    // Stretch a slice into the next one on its machine that runs
+    // another job.
+    let mine = |i: usize| valid.slices[i].machine == valid.slices[k].machine;
+    let next = (0..valid.slices.len())
+        .filter(|&i| mine(i) && valid.slices[i].job != valid.slices[k].job)
+        .filter(|&i| valid.slices[i].start >= valid.slices[k].end)
+        .min_by(|&a, &b| valid.slices[a].start.total_cmp(&valid.slices[b].start));
+    if let Some(j) = next {
+        out.push((format!("slice {k} overlapped with slice {j}"), with(&|s| {
+            s.slices[k].end = 0.5 * (s.slices[j].start + s.slices[j].end);
+        })));
+    }
+    out.push((format!("slice {k} moved outside its window"), with(&|s| {
+        let len = s.slices[k].end - s.slices[k].start;
+        s.slices[k].start = last_end + 1.0;
+        s.slices[k].end = last_end + 1.0 + len;
+    })));
+    out.push((format!("slice {k} on a bad machine"), with(&|s| s.slices[k].machine = s.machines)));
+    out.push((format!("slice {k} with a NaN endpoint"), with(&|s| s.slices[k].start = f64::NAN)));
+    out
+}
+
+fn assert_same_verdict(
+    label: &str,
+    schedule: &Schedule,
+    reqs: &[WorkRequirement],
+    seen: &mut BTreeSet<&'static str>,
+) {
+    let fast = schedule.check(reqs);
+    let slow = schedule.reference_check(reqs);
+    assert_eq!(verdict(&fast), verdict(&slow), "{label}");
+    seen.insert(variant(&slow));
+}
+
+#[test]
+fn checker_matches_the_reference_on_valid_and_corrupted_schedules() {
+    let mut seen = BTreeSet::new();
+    for (family, label, inst) in instances() {
+        let reqs = Schedule::requirements_of(&inst);
+        let tasks = EdfTask::from_instance(&inst);
+        let mut rng = StdRng::seed_from_u64(inst.len() as u64);
+        let mut valid = Vec::new();
+        if let Ok(s) = edf_schedule(&tasks, &yds_profile(&inst), 0) {
+            valid.push(("yds+edf", s));
+        }
+        valid.push(("avr(3)", avr_m(&inst, 3).schedule));
+        for (name, schedule) in valid {
+            let label = format!("{label}, {name}");
+            // On crowded inputs the substrates can leave an EPS-long sliver
+            // just outside a window, which both checkers flag.
+            if !matches!(family, Family::Crowded) {
+                assert!(schedule.check(&reqs).is_ok(), "{label}: valid schedule rejected");
+            }
+            assert_same_verdict(&label, &schedule, &reqs, &mut seen);
+            for (what, bad) in corruptions(&schedule, &mut rng) {
+                assert_same_verdict(&format!("{label}, {what}"), &bad, &reqs, &mut seen);
+            }
+        }
+    }
+    let all = [
+        "ok",
+        "bad machine",
+        "malformed",
+        "outside window",
+        "machine overlap",
+        "job parallelism",
+        "wrong work",
+    ];
+    for v in all {
+        assert!(seen.contains(v), "no case produced `{v}`: saw {seen:?}");
+    }
+}

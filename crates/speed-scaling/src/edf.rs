@@ -7,10 +7,13 @@
 //! therefore only compute a speed profile and delegate slice placement
 //! to [`edf_schedule`].
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use crate::job::JobId;
 use crate::profile::SpeedProfile;
 use crate::schedule::{Schedule, Slice};
-use crate::time::{dedup_times, Interval, EPS, REL_TOL};
+use crate::time::{dedup_times, time_key, Interval, EPS, REL_TOL};
 
 /// A unit of work EDF has to place: `work` units inside `window`,
 /// attributed to job `job` in the produced slices.
@@ -76,6 +79,10 @@ impl std::error::Error for EdfInfeasible {}
 /// not consumed; energy accounting is done on the schedule's slices, so
 /// idling is free).
 ///
+/// Runs in O((n + S) log n) for n tasks and S slices. Ties between equal
+/// deadlines go to the lower task index, so the slices, and the first
+/// miss reported, are those of a scan for the first earliest deadline.
+///
 /// ```
 /// use speed_scaling::edf::{edf_schedule, EdfTask};
 /// use speed_scaling::profile::SpeedProfile;
@@ -92,6 +99,142 @@ impl std::error::Error for EdfInfeasible {}
 /// assert!((sched.work_of(0) - 2.0).abs() < 1e-9);
 /// ```
 pub fn edf_schedule(
+    tasks: &[EdfTask],
+    profile: &SpeedProfile,
+    machine: usize,
+) -> Result<Schedule, EdfInfeasible> {
+    let mut remaining: Vec<f64> = tasks.iter().map(|t| t.work).collect();
+
+    let mut events: Vec<f64> = profile.breakpoints().to_vec();
+    for t in tasks {
+        events.push(t.window.start);
+        events.push(t.window.end);
+    }
+    let events = dedup_times(events);
+
+    let mut schedule = Schedule::empty(machine + 1);
+    schedule.machines = machine + 1;
+
+    // Pick times only grow: a segment's picks all happen before
+    // `seg_end - EPS`, and the next segment starts at `seg_end`. So a
+    // task, once released, stays released, and once finished or past
+    // its deadline, stays out: a release cursor over start-sorted
+    // tasks plus a heap with lazy removal replace the per-pick scan.
+    // A NaN endpoint never compares true, so such a task never runs
+    // and is only ever reported by the final sweep below.
+    let sorted_by = |time: fn(&EdfTask) -> f64| {
+        let mut order: Vec<usize> = (0..tasks.len())
+            .filter(|&i| !(tasks[i].window.start.is_nan() || tasks[i].window.end.is_nan()))
+            .collect();
+        order.sort_by(|&a, &b| time_key(time(&tasks[a])).total_cmp(&time_key(time(&tasks[b]))));
+        order
+    };
+    let by_start = sorted_by(|t| t.window.start);
+    // The sort is stable, so a task's rank in `by_end` orders it by
+    // (deadline, index): the heap holds ranks.
+    let by_end = sorted_by(|t| t.window.end);
+    let mut rank = vec![0; tasks.len()];
+    for (r, &i) in by_end.iter().enumerate() {
+        rank[i] = r;
+    }
+    let mut released = 0;
+    let mut due = 0;
+    let mut pending: BinaryHeap<Reverse<usize>> = BinaryHeap::with_capacity(by_start.len());
+    let (mut heap_pushes, mut heap_pops) = (0u64, 0u64);
+
+    let result = 'sweep: {
+        for w in events.windows(2) {
+            let (seg_start, seg_end) = (w[0], w[1]);
+            if seg_end - seg_start <= EPS {
+                continue;
+            }
+            let speed = profile.speed_at(0.5 * (seg_start + seg_end));
+            let mut now = seg_start;
+            // Within the segment the released/active set is constant, but
+            // tasks can complete mid-segment; loop until the segment is used
+            // up or no runnable task remains.
+            loop {
+                while let Some(&i) = by_start.get(released) {
+                    if tasks[i].window.start > now + EPS {
+                        break;
+                    }
+                    pending.push(Reverse(rank[i]));
+                    heap_pushes += 1;
+                    released += 1;
+                }
+                // The pending task with the earliest deadline, lowest
+                // index on ties.
+                let next = loop {
+                    let Some(&Reverse(r)) = pending.peek() else { break None };
+                    let i = by_end[r];
+                    let unfinished = remaining[i] > work_tolerance(tasks[i].work);
+                    if unfinished && tasks[i].window.end > now + EPS {
+                        break Some(i);
+                    }
+                    pending.pop();
+                    heap_pops += 1;
+                };
+                let Some(i) = next else { break };
+                if speed <= EPS {
+                    break; // idle segment: no progress possible
+                }
+                let seg_left = seg_end - now;
+                let finish_time = remaining[i] / speed;
+                let run = seg_left.min(finish_time);
+                schedule.push(Slice {
+                    job: tasks[i].job,
+                    machine,
+                    start: now,
+                    end: now + run,
+                    speed,
+                });
+                remaining[i] -= run * speed;
+                now += run;
+                if now >= seg_end - EPS {
+                    break;
+                }
+            }
+            // Deadline check at the segment boundary: any task whose window
+            // ends within EPS of here must be done. Those tasks are one run
+            // of the deadline order, and the runs before it stay behind as
+            // `seg_end` grows.
+            while by_end.get(due).is_some_and(|&i| tasks[i].window.end - seg_end < -EPS) {
+                due += 1;
+            }
+            let missed = by_end[due..]
+                .iter()
+                .take_while(|&&i| tasks[i].window.end - seg_end <= EPS)
+                .filter(|&&i| remaining[i] > work_tolerance(tasks[i].work))
+                .min();
+            if let Some(&i) = missed {
+                break 'sweep Err(i);
+            }
+        }
+        // Anything still unfinished had its deadline beyond the profile end.
+        match (0..tasks.len()).find(|&i| remaining[i] > work_tolerance(tasks[i].work)) {
+            Some(i) => Err(i),
+            None => Ok(()),
+        }
+    };
+    qbss_telemetry::counter!("edf.heap_pushes").add(heap_pushes);
+    qbss_telemetry::counter!("edf.heap_pops").add(heap_pops);
+    result.map(|()| schedule).map_err(|i| EdfInfeasible {
+        job: tasks[i].job,
+        window: tasks[i].window,
+        missing: remaining[i],
+    })
+}
+
+/// Whether `profile` can complete all `tasks` (EDF succeeds).
+pub fn is_feasible(tasks: &[EdfTask], profile: &SpeedProfile) -> bool {
+    edf_schedule(tasks, profile, 0).is_ok()
+}
+
+/// The quadratic EDF [`edf_schedule`] replaced: every pick scans all
+/// tasks, and so does every deadline check. Kept as the reference the
+/// differential tests hold the fast path to, bit for bit.
+#[cfg(test)]
+pub(crate) fn reference_edf_schedule(
     tasks: &[EdfTask],
     profile: &SpeedProfile,
     machine: usize,
@@ -173,11 +316,6 @@ pub fn edf_schedule(
         }
     }
     Ok(schedule)
-}
-
-/// Whether `profile` can complete all `tasks` (EDF succeeds).
-pub fn is_feasible(tasks: &[EdfTask], profile: &SpeedProfile) -> bool {
-    edf_schedule(tasks, profile, 0).is_ok()
 }
 
 #[inline]

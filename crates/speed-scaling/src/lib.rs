@@ -50,6 +50,8 @@
 pub mod avr;
 pub mod bkp;
 pub mod cache;
+#[cfg(test)]
+mod differential;
 pub mod edf;
 pub mod job;
 pub mod multi;

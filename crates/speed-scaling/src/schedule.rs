@@ -16,9 +16,8 @@
 
 use std::collections::HashMap;
 
-
 use crate::job::JobId;
-use crate::time::{dedup_times, Interval, EPS, REL_TOL};
+use crate::time::{dedup_times, time_key, Interval, EPS, REL_TOL};
 
 /// One maximal run of a job on a machine at constant speed.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -171,7 +170,135 @@ impl Schedule {
     /// (e.g. a query part and an exact-work part); work conservation is
     /// then checked per-entry *and* windows are the union of the entry
     /// windows for containment purposes.
+    ///
+    /// Costs O(S log S + G·m) for S slices, G grid segments and m
+    /// machines, and reports the same first violation as a pairwise scan
+    /// of every segment.
     pub fn check(&self, requirements: &[WorkRequirement]) -> Result<(), ScheduleError> {
+        // 0. Structural validity.
+        for s in &self.slices {
+            if s.machine >= self.machines {
+                return Err(ScheduleError::BadMachine(*s));
+            }
+            if !(s.start.is_finite() && s.end.is_finite())
+                || s.end < s.start - EPS
+                || s.speed < 0.0
+                || !s.speed.is_finite()
+            {
+                return Err(ScheduleError::MalformedSlice(*s));
+            }
+        }
+
+        // 1. Window containment: every slice of a job must lie in the
+        //    union of that job's requirement windows.
+        let mut windows: HashMap<JobId, Vec<Interval>> = HashMap::new();
+        for req in requirements {
+            windows.entry(req.id).or_default().push(req.window);
+        }
+        for s in &self.slices {
+            let Some(ws) = windows.get(&s.job) else {
+                return Err(ScheduleError::OutsideWindow(s.job, *s));
+            };
+            // The slice may straddle two adjacent windows of the same job
+            // (query window followed by exact-work window), so check that
+            // its interval is covered by the union.
+            let iv = s.interval();
+            let covered: f64 = ws.iter().map(|w| w.overlap_len(&iv)).sum();
+            if covered + EPS < iv.len() {
+                return Err(ScheduleError::OutsideWindow(s.job, *s));
+            }
+        }
+
+        // 2. Machine exclusivity & 3. no intra-job parallelism.
+        let (mut segments, mut live_visits) = (0u64, 0u64);
+        let exclusive = self.sweep_live(&mut segments, &mut live_visits);
+        qbss_telemetry::counter!("check.segments").add(segments);
+        qbss_telemetry::counter!("check.live_visits").add(live_visits);
+        exclusive?;
+
+        // 4. Work conservation, per requirement entry: the work delivered
+        //    to job `id` within the entry's window must match. Each job's
+        //    slices are one run of a (job, index) order, summed in index
+        //    order.
+        let mut by_job: Vec<usize> = (0..self.slices.len()).collect();
+        by_job.sort_by_key(|&i| self.slices[i].job);
+        for req in requirements {
+            let lo = by_job.partition_point(|&i| self.slices[i].job < req.id);
+            let hi = by_job.partition_point(|&i| self.slices[i].job <= req.id);
+            let got: f64 = by_job[lo..hi]
+                .iter()
+                .map(|&i| self.slices[i].interval().overlap_len(&req.window) * self.slices[i].speed)
+                .sum();
+            let scale = req.work.abs().max(1.0);
+            if (got - req.work).abs() > REL_TOL * scale {
+                return Err(ScheduleError::WrongWork(req.id, got, req.work));
+            }
+        }
+        Ok(())
+    }
+
+    /// Steps 2 and 3 of [`Schedule::check`]: sweeps the union event grid
+    /// and, at each elementary segment's midpoint `t`, tests every pair
+    /// of live slices (`start < t < end`; within a segment every slice is
+    /// either fully present or absent). The live set is kept in slice
+    /// order as `t` grows: slices enter in start order and leave once
+    /// `end <= t`. Two of any `m + 1` live slices share a machine, so the
+    /// sweep only gets past a midpoint where at most `m` are live.
+    /// Requires finite endpoints (step 0).
+    fn sweep_live(&self, segments: &mut u64, live_visits: &mut u64) -> Result<(), ScheduleError> {
+        let slices = &self.slices;
+        let mut events: Vec<f64> = Vec::with_capacity(2 * slices.len());
+        for s in slices {
+            events.push(s.start);
+            events.push(s.end);
+        }
+        let events = dedup_times(events);
+        let mut by_start: Vec<usize> = (0..slices.len()).collect();
+        by_start.sort_by(|&a, &b| time_key(slices[a].start).total_cmp(&time_key(slices[b].start)));
+        let mut entered = 0;
+        let mut live: Vec<usize> = Vec::new();
+        for w in events.windows(2) {
+            if w[1] - w[0] <= EPS {
+                continue;
+            }
+            let t = 0.5 * (w[0] + w[1]);
+            *segments += 1;
+            live.retain(|&i| t < slices[i].end);
+            while let Some(&i) = by_start.get(entered) {
+                if slices[i].start >= t {
+                    break;
+                }
+                entered += 1;
+                if t < slices[i].end {
+                    let at = live.partition_point(|&j| j < i);
+                    live.insert(at, i);
+                }
+            }
+            *live_visits += live.len() as u64;
+            for (k, &a) in live.iter().enumerate() {
+                for &b in &live[k + 1..] {
+                    let (a, b) = (slices[a], slices[b]);
+                    if a.machine == b.machine {
+                        return Err(ScheduleError::MachineOverlap(a, b));
+                    }
+                    if a.job == b.job {
+                        return Err(ScheduleError::JobParallelism(a, b));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The quadratic checker [`Schedule::check`] replaced: steps 2 and 3
+    /// filter every slice at every segment midpoint, and step 4 filters
+    /// every slice once per requirement. Kept as the reference the
+    /// differential tests hold the fast path to.
+    #[cfg(test)]
+    pub(crate) fn reference_check(
+        &self,
+        requirements: &[WorkRequirement],
+    ) -> Result<(), ScheduleError> {
         // 0. Structural validity.
         for s in &self.slices {
             if s.machine >= self.machines {

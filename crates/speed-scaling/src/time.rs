@@ -136,6 +136,13 @@ pub fn dedup_times(mut times: Vec<f64>) -> Vec<f64> {
     out
 }
 
+/// A time as a `total_cmp` sort key: `-0.0` becomes `+0.0`, so the two
+/// zeros tie as they do under `partial_cmp`.
+#[inline]
+pub(crate) fn time_key(t: f64) -> f64 {
+    t + 0.0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
