@@ -1,8 +1,9 @@
 //! Cacheable optimal-profile handles.
 //!
 //! The YDS profile is the expensive substrate every ratio experiment
-//! leans on: computing it is `O(n³)` while evaluating its energy at one
-//! `α` is a linear scan over its segments. Ensemble sweeps ask for the
+//! leans on: computing it is `O(n³)` in the worst case (its scan count
+//! fits about `n^2.0` on the online family) while evaluating its energy
+//! at one `α` is a linear scan over its segments. Ensemble sweeps ask for the
 //! same instance's optimum once per *(algorithm, α)* cell, so the naive
 //! [`crate::yds::optimal_energy`] path recomputes the profile dozens of
 //! times per instance. [`OptCache`] computes the profile once and

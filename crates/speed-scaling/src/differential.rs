@@ -1,7 +1,8 @@
 //! Differential tests: [`edf_schedule`] and [`Schedule::check`] against
-//! the quadratic versions they replaced, on seeded instances shaped like
-//! each generator family. Both must give the same `Result`, bit for bit:
-//! the same slices, the same deadline miss, the same first violation.
+//! the quadratic versions they replaced, and [`yds_profile`] against the
+//! full rescan it replaced, on seeded instances shaped like each
+//! generator family. Each pair must agree bit for bit: the same slices,
+//! the same deadline miss, the same first violation, the same profile.
 
 use std::collections::BTreeSet;
 
@@ -17,7 +18,7 @@ use crate::oa::oa_profile;
 use crate::profile::SpeedProfile;
 use crate::schedule::{Schedule, ScheduleError, Slice, WorkRequirement};
 use crate::time::EPS;
-use crate::yds::yds_profile;
+use crate::yds::{reference_yds_profile, verify_optimality_certificate, yds, yds_profile};
 
 #[derive(Debug, Clone, Copy)]
 enum Family {
@@ -34,6 +35,12 @@ enum Family {
     /// Endpoints on a unit grid, each nudged by up to 1.5·EPS, so event
     /// times nearly coincide and the EPS merges decide.
     Crowded,
+    /// Integer endpoints and integer work, so intensities tie across
+    /// windows and the first-maximum rule decides.
+    Grid,
+    /// Unit windows on an integer grid, unit work: many identical jobs
+    /// share each window.
+    UnitWindows,
 }
 
 const FAMILIES: [Family; 6] = [
@@ -48,14 +55,31 @@ const FAMILIES: [Family; 6] = [
 const SIZES: [usize; 5] = [1, 3, 8, 20, 50];
 const SEEDS: u64 = 5;
 
+/// The families above plus the tie-heavy ones, which only the YDS
+/// suite runs.
+const YDS_FAMILIES: [Family; 8] = [
+    Family::Online,
+    Family::Poisson,
+    Family::CommonDeadline,
+    Family::PowersOfTwo,
+    Family::Arbitrary,
+    Family::Crowded,
+    Family::Grid,
+    Family::UnitWindows,
+];
+
+/// Sizes large enough that a round rescans many start points.
+const YDS_SIZES: [usize; 9] = [1, 2, 5, 12, 20, 35, 50, 80, 120];
+const YDS_SEEDS: u64 = 8;
+
 fn nudge(rng: &mut StdRng) -> f64 {
     f64::from(rng.gen_range(-3..=3i32)) * 0.5 * EPS
 }
 
-/// `n` jobs shaped like `family`. About half are split at an interior
-/// point into a query part and an exact-work part that share the job id,
-/// as a queried job is.
-fn instance(family: Family, n: usize, seed: u64) -> Instance {
+/// `n` jobs shaped like `family`. With `split`, about half are split at
+/// an interior point into a query part and an exact-work part that share
+/// the job id, as a queried job is.
+fn instance(family: Family, n: usize, seed: u64, split: bool) -> Instance {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut arrival = 0.0_f64;
     let mut jobs = Vec::with_capacity(2 * n);
@@ -77,15 +101,36 @@ fn instance(family: Family, n: usize, seed: u64) -> Instance {
                 let r = f64::from(rng.gen_range(0..8u32)) + nudge(&mut rng);
                 (r, r + f64::from(rng.gen_range(1..4u32)) + nudge(&mut rng))
             }
+            Family::Grid => {
+                let r = f64::from(rng.gen_range(0..=n as u32 / 4));
+                (r, r + f64::from(rng.gen_range(1..=4u32)))
+            }
+            Family::UnitWindows => {
+                let r = f64::from(rng.gen_range(0..=n as u32 / 8));
+                (r, r + 1.0)
+            }
         };
-        let w = rng.gen_range(0.5..=4.0);
-        if rng.gen_bool(0.5) {
-            let tau = match family {
-                Family::Crowded => release.round() + 0.5 + nudge(&mut rng),
-                _ => release + (deadline - release) * rng.gen_range(0.2..=0.8),
+        let w = match family {
+            Family::Grid => f64::from(rng.gen_range(1..=3u32)),
+            Family::UnitWindows => 1.0,
+            _ => rng.gen_range(0.5..=4.0),
+        };
+        if rng.gen_bool(0.5) && split {
+            let (tau, query, exact) = match family {
+                // Halves keep the tie-heavy families' quantities dyadic.
+                Family::Grid | Family::UnitWindows => {
+                    (0.5 * (release + deadline), 0.5 * w, 0.5 * w)
+                }
+                _ => {
+                    let tau = match family {
+                        Family::Crowded => release.round() + 0.5 + nudge(&mut rng),
+                        _ => release + (deadline - release) * rng.gen_range(0.2..=0.8),
+                    };
+                    (tau, w * rng.gen_range(0.1..=0.9), w * rng.gen_range(0.0..=1.0))
+                }
             };
-            jobs.push(Job::new(id, release, tau, w * rng.gen_range(0.1..=0.9)));
-            jobs.push(Job::new(id, tau, deadline, w * rng.gen_range(0.0..=1.0)));
+            jobs.push(Job::new(id, release, tau, query));
+            jobs.push(Job::new(id, tau, deadline, exact));
         } else {
             jobs.push(Job::new(id, release, deadline, w));
         }
@@ -99,7 +144,7 @@ fn instances() -> impl Iterator<Item = (Family, String, Instance)> {
         SIZES.into_iter().flat_map(move |n| {
             (0..SEEDS).map(move |seed| {
                 let label = format!("{family:?} n={n} seed={seed}");
-                (family, label, instance(family, n, 1000 * n as u64 + seed))
+                (family, label, instance(family, n, 1000 * n as u64 + seed, true))
             })
         })
     })
@@ -312,4 +357,47 @@ fn checker_matches_the_reference_on_valid_and_corrupted_schedules() {
     for v in all {
         assert!(seen.contains(v), "no case produced `{v}`: saw {seen:?}");
     }
+}
+
+fn profile_bits(p: &SpeedProfile) -> (Vec<u64>, Vec<u64>) {
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect();
+    (bits(p.breakpoints()), bits(p.values()))
+}
+
+/// The lazy search against the full rescan, on `YDS_FAMILIES` with
+/// split jobs (`split`) or with one job per id. Returns how many
+/// instances also passed the optimality certificate.
+fn yds_against_the_reference(split: bool) -> usize {
+    let mut certified = 0;
+    for family in YDS_FAMILIES {
+        for n in YDS_SIZES {
+            for seed in 0..YDS_SEEDS {
+                let inst = instance(family, n, 1000 * n as u64 + seed, split);
+                let label = format!("{family:?} n={n} seed={seed} split={split}");
+                let lazy = yds_profile(&inst);
+                let full = reference_yds_profile(&inst);
+                assert_eq!(profile_bits(&lazy), profile_bits(&full), "{label}");
+                // The certificate assumes one job per id, and on crowded
+                // inputs EDF can leave an EPS-long sliver outside a window.
+                if !split && !matches!(family, Family::Crowded) {
+                    if let Err(e) = verify_optimality_certificate(&inst, &yds(&inst)) {
+                        panic!("{label}: {e}");
+                    }
+                    certified += 1;
+                }
+            }
+        }
+    }
+    certified
+}
+
+#[test]
+fn yds_matches_the_reference_bit_for_bit_on_split_jobs() {
+    yds_against_the_reference(true);
+}
+
+#[test]
+fn yds_matches_the_reference_bit_for_bit_and_certifies_on_whole_jobs() {
+    let certified = yds_against_the_reference(false);
+    assert_eq!(certified, 7 * YDS_SIZES.len() * YDS_SEEDS as usize);
 }
