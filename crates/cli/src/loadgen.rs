@@ -455,7 +455,8 @@ pub struct SpawnedServer {
 
 impl SpawnedServer {
     /// Binds `127.0.0.1:0` and runs `serve::run` on a background thread
-    /// with a fast accept tick (the loadgen is latency-sensitive).
+    /// with `qbss serve`'s defaults apart from `budget` and
+    /// `request_timeout_ms`, so a run measures the server as it ships.
     pub fn start(budget: u64, request_timeout_ms: u64) -> Result<SpawnedServer, String> {
         let listener = std::net::TcpListener::bind("127.0.0.1:0")
             .map_err(|e| format!("cannot bind a loopback port: {e}"))?;
@@ -467,7 +468,6 @@ impl SpawnedServer {
         let cfg = crate::serve::ServeConfig {
             budget,
             request_timeout_ms,
-            accept_tick_ms: 5,
             ..crate::serve::ServeConfig::new(qbss_telemetry::RingSink::default())
         };
         let handle = std::thread::spawn(move || crate::serve::run(listener, cfg));

@@ -25,10 +25,10 @@
 //! [`StreamSession`] engine (DESIGN.md §14): each `arrive`/`advance`
 //! event is cost-accounted against the admission budget like any other
 //! work request (cost 1 per event), and a session left idle past the
-//! request deadline is reaped by the accept loop's tick — the same
-//! machinery that reaps stale queue entries. A drain (SIGTERM/ctrl-c)
-//! answers in-flight events, then discards open sessions with the
-//! process.
+//! request deadline is reaped by the accept loop, once per tick — the
+//! same machinery that reaps stale queue entries. A drain
+//! (SIGTERM/ctrl-c) answers in-flight events, then discards open
+//! sessions with the process.
 //!
 //! **Admission control.** Work requests carry an estimated cost — `1`
 //! for `/evaluate` (one cell), `instances × algorithms × alphas` for
@@ -48,10 +48,10 @@
 //! (slowloris) is evicted with a typed `408` the moment either the
 //! inactivity timeout or the deadline fires — a slow client can park a
 //! worker for at most the request timeout. Connections that age out in
-//! the accept queue are reaped with a typed `503` (by the accept loop's
-//! tick and again at pop), and a handler that overruns the deadline has
-//! its response converted to a typed `503` so callers never consume
-//! stale results.
+//! the accept queue are reaped with a typed `503` (by the accept loop
+//! once per tick, and again at pop), and a handler that overruns the
+//! deadline has its response converted to a typed `503` so callers
+//! never consume stale results.
 //!
 //! **Probe endpoints never touch the metrics registry** — only the
 //! work endpoints (`/evaluate`, `/sweep`, `/session*`) bump
@@ -69,11 +69,19 @@
 //! reject is `422`, handler panics are caught and answered `500` — the
 //! process never dies on bad input.
 //!
-//! Shutdown: SIGTERM or ctrl-c flips one atomic flag; the accept loop
-//! **closes the listener first** (no connection can slip in during the
-//! drain window), then marks the server draining, queued and in-flight
-//! requests drain, sinks flush, and the process exits 0 (the exit-code
-//! contract treats a signalled drain as success).
+//! **The accept loop** waits in `poll(2)` on the listener (a plain
+//! sleep off unix) and wakes the moment a connection arrives. The tick
+//! (`--accept-tick-ms`) is only the wait's timeout: it sets the reap
+//! cadence and bounds how long a drain request can go unnoticed. Every
+//! response is `Connection: close`, so every request is a fresh
+//! connection, which a fixed sleep would hold for up to a tick.
+//!
+//! Shutdown: SIGTERM or ctrl-c flips one atomic flag (and interrupts
+//! the accept loop's `poll` when the signal lands on its thread); the
+//! accept loop **closes the listener first** (no connection can slip in
+//! during the drain window), then marks the server draining, queued and
+//! in-flight requests drain, sinks flush, and the process exits 0 (the
+//! exit-code contract treats a signalled drain as success).
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -101,7 +109,7 @@ const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
 /// Largest accepted header block.
 const MAX_HEADER_BYTES: usize = 64 * 1024;
 
-/// Set by the signal handler; checked by the accept loop each tick.
+/// Set by the signal handler; checked by the accept loop on every wake.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 /// Process-unique request ids (`r-1`, `r-2`, …).
 static REQUEST_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -135,7 +143,9 @@ pub struct ServeConfig {
     pub request_timeout_ms: u64,
     /// Socket-level read/write inactivity timeout (slowloris eviction).
     pub io_timeout_ms: u64,
-    /// Accept-loop poll tick (also the queue-reaping cadence).
+    /// Longest the accept loop waits for a connection before it looks
+    /// at the shutdown flag again; also the queue- and session-reaping
+    /// cadence. A connection wakes the loop at once.
     pub accept_tick_ms: u64,
 }
 
@@ -174,7 +184,8 @@ pub const DEFAULT_ACCEPT_TICK_MS: u64 = 25;
 fn install_signal_handlers() {
     // std-only signal hookup: libc's `signal(2)` via a raw extern. The
     // handler only flips one atomic (async-signal-safe); all real work
-    // happens on the accept thread's next poll tick.
+    // happens on the accept thread, whose `poll` the signal interrupts
+    // when it lands there (else the thread sees the flag within a tick).
     extern "C" fn on_signal(_sig: i32) {
         SHUTDOWN.store(true, Ordering::SeqCst);
     }
@@ -369,8 +380,8 @@ impl Sessions {
     }
 
     /// Drops every session idle longer than `max_idle` and returns how
-    /// many were reaped (the accept loop's tick calls this with the
-    /// request deadline, the same age bound queued connections get).
+    /// many were reaped (the accept loop calls this once per tick with
+    /// the request deadline, the same age bound queued connections get).
     fn reap(&self, max_idle: Duration) -> usize {
         let mut map = self.lock();
         let before = map.open.len();
@@ -1385,16 +1396,85 @@ fn handle_connection(mut stream: TcpStream, ctx: &ServerCtx<'_>) {
     write_response(&mut stream, &resp);
 }
 
-/// The accept loop. Owns the listener and **drops it before
-/// returning**, so by the time the server is marked draining no new
-/// connection can be accepted — probes during drain see `503` on
-/// `/readyz` and connection-refused on fresh connects, never a
-/// half-open window.
+/// Blocks until the listener has a connection to accept, a signal
+/// arrives, or `tick` passes, whichever comes first: `poll(2)` on the
+/// listener fd for `POLLIN` via a raw extern, the same idiom as the
+/// `signal(2)` hookup. Not a blocking `accept`: glibc's `signal()` sets
+/// `SA_RESTART`, which restarts `accept` but never `poll` (signal(7)),
+/// so SIGTERM still ends the wait.
+#[cfg(unix)]
+fn wait_for_connection(listener: &TcpListener, tick: Duration) {
+    use std::os::unix::io::AsRawFd;
+
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+    // `nfds_t` is `unsigned long` on Linux, `unsigned int` on macOS
+    // and the BSDs.
+    #[cfg(target_os = "linux")]
+    type NfdsT = std::os::raw::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type NfdsT = std::os::raw::c_uint;
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: NfdsT, timeout_ms: i32) -> i32;
+    }
+    const POLLIN: i16 = 0x1;
+    let mut fds = PollFd { fd: listener.as_raw_fd(), events: POLLIN, revents: 0 };
+    let timeout_ms = i32::try_from(tick.as_millis()).unwrap_or(i32::MAX);
+    // The result is ignored: a timeout, an `EINTR` and a ready listener
+    // all fall through to the shutdown check and the non-blocking
+    // `accept`, and only the `accept` decides.
+    // SAFETY: `fds` is one live, writable `struct pollfd` for the whole
+    // call and `nfds` is 1, so `poll` touches only that struct; the fd
+    // stays open because `listener` is borrowed across the call.
+    unsafe {
+        poll(&mut fds, 1, timeout_ms);
+    }
+}
+
+#[cfg(not(unix))]
+fn wait_for_connection(_listener: &TcpListener, tick: Duration) {
+    std::thread::sleep(tick);
+}
+
+/// The accept loop. Wakes on a connection (or a signal), and at the
+/// latest once per tick, which is also the reap cadence: reaping runs
+/// at most once per tick, so a busy listener does not walk the session
+/// store on every connection, and at least once per tick whether or
+/// not the loop ever idles.
+///
+/// Owns the listener and **drops it before returning**, so by the
+/// time the server is marked draining no new connection can be
+/// accepted — probes during drain see `503` on `/readyz` and
+/// connection-refused on fresh connects, never a half-open window.
 fn accept_loop(listener: TcpListener, ctx: &ServerCtx<'_>) {
     let tick = Duration::from_millis(ctx.cfg.accept_tick_ms.max(1));
+    let mut last_reap = Instant::now();
     loop {
         if SHUTDOWN.load(Ordering::SeqCst) {
             break;
+        }
+        if last_reap.elapsed() >= tick {
+            // Reap queue entries that aged out before a worker could
+            // take them, and streaming sessions whose client stopped
+            // sending events.
+            for victim in ctx.queue.reap(ctx.request_timeout()) {
+                reap_connection(victim, ctx);
+            }
+            let reaped = ctx.sessions.reap(ctx.request_timeout());
+            if reaped > 0 {
+                qbss_telemetry::counter!("serve.session.reaped").add(reaped as u64);
+                qbss_telemetry::warn!(
+                    "serve.session",
+                    { reaped = reaped as u64 },
+                    "reaped {} idle streaming session(s)",
+                    reaped
+                );
+            }
+            last_reap = Instant::now();
         }
         match listener.accept() {
             Ok((stream, _peer)) => {
@@ -1409,32 +1489,18 @@ fn accept_loop(listener: TcpListener, ctx: &ServerCtx<'_>) {
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                // Idle tick: reap queue entries that aged out before a
-                // worker could take them, and streaming sessions whose
-                // client stopped sending events.
-                for victim in ctx.queue.reap(ctx.request_timeout()) {
-                    reap_connection(victim, ctx);
-                }
-                let reaped = ctx.sessions.reap(ctx.request_timeout());
-                if reaped > 0 {
-                    qbss_telemetry::counter!("serve.session.reaped").add(reaped as u64);
-                    qbss_telemetry::warn!(
-                        "serve.session",
-                        { reaped = reaped as u64 },
-                        "reaped {} idle streaming session(s)",
-                        reaped
-                    );
-                }
-                std::thread::sleep(tick);
+                wait_for_connection(&listener, tick);
             }
             Err(e) => {
+                // Sleep, not poll: on `EMFILE` the listener stays
+                // readable, so `poll` would return at once and spin.
                 qbss_telemetry::warn!("serve", "accept failed: {e}");
                 std::thread::sleep(tick);
             }
         }
     }
     // Close the listener *first*: draining must not race a final
-    // accept tick that lets one more connection in.
+    // accept that lets one more connection in.
     drop(listener);
 }
 

@@ -753,3 +753,86 @@ fn sigterm_during_an_inflight_sweep_still_drains_cleanly() {
     // … and the process still exits 0.
     assert_eq!(wait_exit(child), Some(0));
 }
+
+/// The accept loop wakes on a connection, not on its tick. With a 2 s
+/// tick, ten sequential requests, each on a fresh connection as the
+/// server closes them, finish in well under one tick; and SIGTERM still
+/// ends the wait and drains.
+#[test]
+fn connections_wake_the_accept_loop_before_its_tick() {
+    let (child, addr) = start_server(&["--accept-tick-ms", "2000"]);
+    wait_ready(&addr);
+
+    let started = Instant::now();
+    let (status, _, _) = http(&addr, "GET", "/readyz", "");
+    assert_eq!(status, 200);
+    let (status, _, body) = http(&addr, "POST", "/session?alg=oaq&alpha=3", "");
+    assert_eq!(status, 200, "{body}");
+    let id = json_num(&body, "session") as u64;
+    for k in 0..7 {
+        let job = format!(
+            "{{\"id\": {k}, \"release\": {k}, \"deadline\": {}, \"query_load\": 0.2, \
+             \"upper_bound\": 2.0, \"exact\": 0.3}}",
+            k + 3
+        );
+        let (status, _, body) = http(&addr, "POST", &format!("/session/{id}/arrive"), &job);
+        assert_eq!(status, 200, "{body}");
+    }
+    let (status, _, body) = http(&addr, "POST", &format!("/session/{id}/finish"), "");
+    assert_eq!(status, 200, "{body}");
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "ten requests took {elapsed:?}: connections waited for the 2 s tick"
+    );
+
+    let signalled = Instant::now();
+    sigterm(&child);
+    assert_eq!(wait_exit(child), Some(0), "signalled drain must exit 0");
+    // Linux hands a process-wide signal to the main thread, which runs
+    // the accept loop and blocks no signal, so the signal interrupts
+    // its `poll` and the drain starts at once. Elsewhere the loop sees
+    // the flag within a tick.
+    if cfg!(target_os = "linux") {
+        let drained = signalled.elapsed();
+        assert!(
+            drained < Duration::from_secs(1),
+            "drain took {drained:?}: SIGTERM did not end the accept wait"
+        );
+    }
+}
+
+/// Reaping runs once per tick even when every wake of the accept loop
+/// is a connection: a session nobody touches is reaped past the request
+/// deadline while probes arrive faster than the tick.
+#[test]
+fn idle_sessions_are_reaped_while_traffic_keeps_the_loop_busy() {
+    let (child, addr) = start_server(&["--request-timeout-ms", "300", "--accept-tick-ms", "50"]);
+    wait_ready(&addr);
+
+    let (status, _, body) = http(&addr, "POST", "/session?alg=avrq", "");
+    assert_eq!(status, 200, "{body}");
+    let until = Instant::now() + Duration::from_secs(1);
+    while Instant::now() < until {
+        let (status, _, _) = http(&addr, "GET", "/readyz", "");
+        assert_eq!(status, 200);
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    let (status, _, health) = http(&addr, "GET", "/healthz", "");
+    assert_eq!(status, 200, "{health}");
+    let parsed = qbss_telemetry::json_parse(&health)
+        .unwrap_or_else(|e| panic!("unparseable /healthz ({e}): {health}"));
+    let count = |field: &str| {
+        parsed
+            .get("sessions")
+            .and_then(|s| s.get(field))
+            .and_then(qbss_telemetry::JsonValue::as_f64)
+            .unwrap_or_else(|| panic!("no sessions.{field} in {health}"))
+    };
+    assert!(count("reaped") >= 1.0, "the idle session was never reaped: {health}");
+    assert_eq!(count("open"), 0.0, "{health}");
+
+    sigterm(&child);
+    assert_eq!(wait_exit(child), Some(0));
+}
