@@ -1,7 +1,7 @@
 //! Streaming sessions — the bench/serve-facing wrapper over
-//! [`qbss_core::stream::OnlineSolver`] (DESIGN.md §14).
+//! [`qbss_core::stream::StreamingSolver`] (DESIGN.md §14).
 //!
-//! A [`StreamSession`] owns a boxed streaming solver plus the arrivals
+//! A [`StreamSession`] owns a streaming solver plus the arrivals
 //! fed so far, and finishes with the same guard chain as the batch
 //! pipeline ([`qbss_core::pipeline::run_evaluated`]): outcome
 //! validation against the accumulated instance, then the energy and
@@ -12,11 +12,11 @@
 use qbss_core::error::QbssError;
 use qbss_core::model::{QJob, QbssInstance};
 use qbss_core::pipeline::{Algorithm, Evaluated};
-use qbss_core::stream::{solver_for, OnlineSolver, SpeedDelta, StreamError};
+use qbss_core::stream::{solver_for, SpeedDelta, StreamError, StreamingSolver};
 
 /// One live streaming run: arrivals in, an [`Evaluated`] out.
 pub struct StreamSession {
-    solver: Box<dyn OnlineSolver + Send>,
+    solver: StreamingSolver,
     alpha: f64,
     jobs: Vec<QJob>,
 }

@@ -279,6 +279,14 @@ pub enum AlgorithmError {
         /// Algorithm name.
         algorithm: &'static str,
     },
+    /// The strategy cannot run online: its split reads `w*` before the
+    /// query completes, or its split fraction lies outside `(0, 1)`.
+    InvalidStrategy {
+        /// Algorithm name.
+        algorithm: &'static str,
+        /// Human-readable reason.
+        reason: String,
+    },
     /// The derived speed profile could not carry the derived jobs — a
     /// numerical breakdown, since the construction is feasible on paper.
     Infeasible {
@@ -309,6 +317,9 @@ impl fmt::Display for AlgorithmError {
             }
             AlgorithmError::RandomizedRule { algorithm } => {
                 write!(f, "{algorithm} is a deterministic algorithm")
+            }
+            AlgorithmError::InvalidStrategy { algorithm, reason } => {
+                write!(f, "{algorithm} cannot run this strategy online: {reason}")
             }
             AlgorithmError::Infeasible { algorithm, source } => {
                 write!(f, "{algorithm}: derived schedule infeasible: {source}")

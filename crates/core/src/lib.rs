@@ -28,10 +28,15 @@
 //! ## Information hiding
 //!
 //! The exact load is a private field read through
-//! [`model::QJob::reveal_exact`]; outcome validation
+//! [`model::QJob::reveal_exact`]. The online algorithms run on one
+//! engine, [`stream::StreamingSolver`], which asks an [`OnlinePolicy`]
+//! for each arrival's query and split and hands it only the job's
+//! [`VisibleJob`] part, so no online policy can read `w*` at arrival:
+//! its argument type has no field for it. A strategy becomes a policy
+//! only through [`StreamingSolver::with_strategy`], which rejects the
+//! oracle split. Outcome validation
 //! ([`outcome::QbssOutcome::validate`]) structurally enforces that a
-//! job's exact work is scheduled only after its query window, so no
-//! algorithm can profit from peeking.
+//! job's exact work is scheduled only after its query window.
 //!
 //! ## Quick example
 //!
@@ -62,7 +67,6 @@ pub mod oracle;
 pub mod outcome;
 pub mod pipeline;
 pub mod policy;
-pub mod sim;
 pub mod stream;
 pub mod work;
 
@@ -76,8 +80,6 @@ pub use pipeline::{
     run_audited, run_checked, run_evaluated, run_for_request, Algorithm, Evaluated,
     ParseAlgorithmError,
 };
-pub use policy::{QueryRule, SplitRule, Strategy, INV_PHI, PHI};
-pub use stream::{
-    arrival_ordered, solver_for, OnlineSolver, SpeedDelta, StreamError, StreamingSolver,
-};
+pub use policy::{OnlinePolicy, QueryRule, SplitRule, Strategy, INV_PHI, PHI};
+pub use stream::{arrival_ordered, solver_for, SpeedDelta, StreamError, StreamingSolver};
 pub use work::{is_work_counter, work_counter_names, WorkCounter, WORK_COUNTERS};

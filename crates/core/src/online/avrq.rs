@@ -16,6 +16,7 @@ use speed_scaling::profile::SpeedProfile;
 use crate::error::AlgorithmError;
 use crate::model::QbssInstance;
 use crate::outcome::QbssOutcome;
+use crate::pipeline::Algorithm;
 use crate::policy::{NoRandomness, Strategy};
 use crate::stream::{batch_outcome, StreamingSolver};
 
@@ -52,20 +53,16 @@ pub fn avrq_with(inst: &QbssInstance, strategy: Strategy) -> QbssOutcome {
 }
 
 /// Fallible version of [`avrq_with`]: validates the instance and
-/// rejects randomized rules and empty input with typed errors. A thin
-/// adapter over the streaming engine
-/// ([`crate::stream::StreamingSolver`]): jobs are fed in canonical
+/// rejects empty input and strategies that cannot run online
+/// (randomized rules, the oracle split, fractions outside `(0, 1)`) with
+/// typed errors. A thin adapter over the streaming engine
+/// ([`StreamingSolver::with_strategy`]): jobs are fed in canonical
 /// arrival order and the stream is finished.
 pub fn try_avrq_with(
     inst: &QbssInstance,
     strategy: Strategy,
 ) -> Result<QbssOutcome, AlgorithmError> {
-    let solver = StreamingSolver::avrq_with(strategy)?;
-    inst.validate()?;
-    if inst.is_empty() {
-        return Err(AlgorithmError::EmptyInstance { algorithm: "AVRQ" });
-    }
-    batch_outcome(solver, inst)
+    batch_outcome(StreamingSolver::with_strategy(Algorithm::Avrq, strategy)?, inst)
 }
 
 #[cfg(test)]

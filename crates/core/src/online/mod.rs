@@ -14,11 +14,18 @@
 //! | [`avrq_m::avrq_m`] | always | midpoint | AVR(m) | `2^α(2^{α−1}α^α+1)` |
 //! | [`oaq_m::oaq_m`] | golden ratio | midpoint | OA(m) | open (extension) |
 //!
-//! Computing the derived profiles in one offline pass is faithful to the
-//! online process because every substrate's speed at time `t` depends
-//! only on derived jobs with release `≤ t`, and a derived exact-work job
-//! is *released* exactly when the information that defines it (`w*`)
-//! becomes available — at the splitting point.
+//! AVRQ, BKPQ and OAQ run on the streaming engine
+//! ([`crate::stream::StreamingSolver`]), which learns each job at its
+//! release and its `w*` only at its splitting point. The `*_profile`
+//! functions instead compute the derived profiles in one offline pass.
+//! That is faithful to the online process because every substrate's
+//! speed at time `t` depends only on derived jobs with release `≤ t`,
+//! and a derived exact-work job is *released* exactly when the
+//! information that defines it (`w*`) becomes available — at the
+//! splitting point. `tests/properties.rs::stepped_simulation_matches_analytic`
+//! checks it: on random instances, the engine's live speed after
+//! `advance_to(t)` equals [`avrq_profile`] and [`bkpq_profile`] at
+//! every segment midpoint.
 
 pub mod avrq;
 pub mod avrq_m;

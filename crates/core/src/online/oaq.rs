@@ -16,8 +16,9 @@ use speed_scaling::profile::SpeedProfile;
 use crate::error::AlgorithmError;
 use crate::model::QbssInstance;
 use crate::outcome::QbssOutcome;
+use crate::pipeline::Algorithm;
 use crate::policy::{NoRandomness, Strategy};
-use crate::stream::{batch_outcome, StreamingSolver};
+use crate::stream::{batch_outcome, solver_for};
 
 use super::online_derive;
 
@@ -34,14 +35,10 @@ pub fn oaq(inst: &QbssInstance) -> QbssOutcome {
 
 /// Fallible version of [`oaq`]: validates the instance and rejects
 /// empty input with typed errors. A thin adapter over the streaming
-/// engine ([`crate::stream::StreamingSolver`]): jobs are fed in
-/// canonical arrival order and the stream is finished.
+/// engine ([`solver_for`]): jobs are fed in canonical arrival order and
+/// the stream is finished.
 pub fn try_oaq(inst: &QbssInstance) -> Result<QbssOutcome, AlgorithmError> {
-    inst.validate()?;
-    if inst.is_empty() {
-        return Err(AlgorithmError::EmptyInstance { algorithm: "OAQ" });
-    }
-    batch_outcome(StreamingSolver::oaq(), inst)
+    batch_outcome(solver_for(Algorithm::Oaq)?, inst)
 }
 
 #[cfg(test)]

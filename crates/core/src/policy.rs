@@ -10,11 +10,15 @@
 //!    `τ_j = r_j + x(d_j − r_j)`. The paper's algorithms are
 //!    *equal-window* (`x = 1/2`); the `Oracle` rule (only legal in the
 //!    oracle model of §4.1) splits so the post-query speed is constant.
+//!
+//! An online algorithm answers both at a job's release, from its
+//! visible part alone: that is the [`OnlinePolicy`] hook the streaming
+//! engine ([`crate::stream::StreamingSolver`]) consults per arrival.
 
 use rand::Rng;
 use speed_scaling::time::EPS;
 
-use crate::model::QJob;
+use crate::model::{QJob, VisibleJob};
 
 /// The golden ratio `φ = (1 + √5)/2 ≈ 1.618`.
 pub const PHI: f64 = 1.618_033_988_749_895;
@@ -95,19 +99,26 @@ pub enum SplitRule {
 impl SplitRule {
     /// The splitting point for `job`.
     pub fn split(&self, job: &QJob) -> f64 {
-        let (r, d) = (job.release, job.deadline);
-        let x = match *self {
-            SplitRule::EqualWindow => 0.5,
+        let x = self
+            .visible_fraction(&job.visible())
+            .unwrap_or_else(|| oracle_fraction(job.query_load, job.reveal_exact()));
+        job.release + x * (job.deadline - job.release)
+    }
+
+    /// The split fraction `x` from the job's visible part alone, or
+    /// `None` for [`SplitRule::Oracle`], which needs the hidden `w*`.
+    pub(crate) fn visible_fraction(&self, job: &VisibleJob) -> Option<f64> {
+        match *self {
+            SplitRule::EqualWindow => Some(0.5),
             SplitRule::Fraction(x) => {
                 assert!(x > 0.0 && x < 1.0, "split fraction must be in (0,1), got {x}");
-                x
+                Some(x)
             }
-            SplitRule::Oracle => oracle_fraction(job.query_load, job.reveal_exact()),
+            SplitRule::Oracle => None,
             SplitRule::ExpectedOracle => {
-                oracle_fraction(job.query_load, 0.5 * job.upper_bound)
+                Some(oracle_fraction(job.query_load, 0.5 * job.upper_bound))
             }
-        };
-        r + x * (d - r)
+        }
     }
 }
 
@@ -142,6 +153,40 @@ impl rand::RngCore for NoRandomness {
     fn try_fill_bytes(&mut self, _dest: &mut [u8]) -> Result<(), rand::Error> {
         unreachable!("deterministic rule must not consume randomness")
     }
+}
+
+/// The online decision hook: called once per job, at its release, by
+/// [`crate::stream::StreamingSolver`]. It is handed only the job's
+/// [`VisibleJob`] part — `w*` is not in its argument — and answers
+/// `Some(τ)` for "query, and split the window at `τ`" or `None` for
+/// "run the upper bound `w` unqueried". The solver rejects a `τ`
+/// outside the open window `(r, d)` (NaN included) and leaves its state
+/// unchanged.
+///
+/// ```
+/// use qbss_core::{Algorithm, OnlinePolicy, QJob, StreamingSolver, VisibleJob};
+///
+/// /// Queries every job and splits its window at the midpoint.
+/// struct Midpoint;
+///
+/// impl OnlinePolicy for Midpoint {
+///     fn decide(&mut self, job: &VisibleJob) -> Option<f64> {
+///         Some(0.5 * (job.release + job.deadline))
+///     }
+/// }
+///
+/// let mut solver = StreamingSolver::new(Algorithm::Avrq, Box::new(Midpoint)).unwrap();
+/// solver.on_arrival(QJob::new(0, 0.0, 2.0, 0.5, 2.0, 1.0)).unwrap();
+/// assert_eq!(solver.speed(), 0.5); // the query part: c = 0.5 on (0, 1]
+/// solver.advance_to(1.5).unwrap(); // the query completed at τ = 1: w* = 1 on (1, 2]
+/// assert_eq!(solver.speed(), 1.0);
+/// let outcome = solver.finish().unwrap();
+/// assert_eq!(outcome.decisions[0].split, Some(1.0));
+/// ```
+pub trait OnlinePolicy {
+    /// Decides for a newly released job: `Some(τ)` queries it and
+    /// splits at `τ`, `None` does not query it.
+    fn decide(&mut self, job: &VisibleJob) -> Option<f64>;
 }
 
 /// A complete per-job strategy: a query rule plus a splitting rule.

@@ -1,32 +1,38 @@
-//! Streaming arrival engine — the [`OnlineSolver`] API (DESIGN.md §14).
+//! The online engine (DESIGN.md §14): [`StreamingSolver`] runs AVRQ,
+//! BKPQ and OAQ one arrival at a time.
 //!
-//! The online QBSS algorithms are, conceptually, event processors: a job
-//! arrives, the algorithm decides its query and split on the spot, and
-//! the speed plan reacts. This module makes that shape the *primary*
-//! interface. An [`OnlineSolver`] consumes arrivals one at a time
-//! ([`OnlineSolver::on_arrival`]), can be advanced through quiet spans
-//! of time ([`OnlineSolver::advance_to`]), and produces the same
+//! The online QBSS algorithms are event processors: a job arrives, the
+//! algorithm decides its query and split on the spot, and the speed plan
+//! reacts. A [`StreamingSolver`] consumes arrivals one at a time
+//! ([`StreamingSolver::on_arrival`]), can be advanced through quiet
+//! spans of time ([`StreamingSolver::advance_to`]), and produces the same
 //! validated [`QbssOutcome`] as the batch entry points when finished
-//! ([`OnlineSolver::finish`]).
+//! ([`StreamingSolver::finish`]). Each arrival is decided by an
+//! [`OnlinePolicy`]: the paper's rules through
+//! [`StreamingSolver::with_strategy`], any other through
+//! [`StreamingSolver::new`].
 //!
-//! The batch entry points (`try_avrq`, `try_bkpq`, `try_oaq`) are thin
-//! adapters over this engine: they feed the instance in canonical
-//! arrival order ([`arrival_ordered`]) and finish. A session that feeds
-//! the same jobs in the same order therefore produces a bit-identical
-//! outcome *by construction* — there is only one code path.
+//! The batch entry points (`try_avrq`, `try_bkpq`, `try_oaq` and the
+//! `_with` ablations) are thin adapters over this engine: they feed the
+//! instance in canonical arrival order ([`arrival_ordered`]) and finish.
+//! A session that feeds the same jobs in the same order therefore
+//! produces a bit-identical outcome *by construction* — there is only one
+//! code path.
 //!
 //! ## Event semantics
 //!
 //! * Arrivals must be fed in non-decreasing release order (ties in any
 //!   order); the canonical order breaks release ties by job id.
+//! * The policy is handed the arriving job's [`VisibleJob`] part only, so
+//!   no policy can read `w*` at arrival: the argument type has no field
+//!   for it.
 //! * A queried job's derived *query part* `(r, τ, c)` enters the
 //!   substrate immediately; its *exact part* `(τ, d, w*)` is withheld in
 //!   a pending queue until the stream's clock reaches `τ` — the moment
-//!   the query completes and `w*` becomes known. This is the structural
-//!   information-hiding guarantee of the model, enforced at the
-//!   streaming layer rather than by an offline argument.
-//! * [`OnlineSolver::advance_to`] releases pending exact parts and (for
-//!   OA) commits the planned profile up to `t`; time never flows
+//!   the query completes and `w*` becomes known. The substrate's speed
+//!   at `t` therefore depends only on what the model reveals by `t`.
+//! * [`StreamingSolver::advance_to`] releases pending exact parts and
+//!   (for OA) commits the planned profile up to `t`; time never flows
 //!   backwards.
 
 use std::collections::HashSet;
@@ -37,12 +43,12 @@ use speed_scaling::profile::SpeedProfile;
 use speed_scaling::stream::{AvrStream, BkpStream, OaStream};
 use speed_scaling::time::EPS;
 
-use crate::decision::{derived_instance, Decision};
-use crate::error::{AlgorithmError, ModelError, QbssError};
-use crate::model::{QJob, QbssInstance};
+use crate::decision::{try_derived_instance, Decision};
+use crate::error::{AlgorithmError, ModelError, ValidationError};
+use crate::model::{QJob, QbssInstance, VisibleJob};
 use crate::outcome::QbssOutcome;
 use crate::pipeline::Algorithm;
-use crate::policy::{NoRandomness, Strategy};
+use crate::policy::{NoRandomness, OnlinePolicy, SplitRule, Strategy};
 
 /// The speed change caused by one arrival: the substrate's live speed
 /// at the arrival instant, immediately before and after the event.
@@ -137,42 +143,6 @@ impl From<ModelError> for StreamError {
     }
 }
 
-/// An incremental QBSS solver: arrivals in, validated outcome out.
-///
-/// Implementations are event processors over the classical substrates
-/// of the `speed-scaling` crate; [`solver_for`] builds one for every
-/// streamable [`Algorithm`]. The trait is object safe — sessions hold a
-/// `Box<dyn OnlineSolver + Send>`.
-pub trait OnlineSolver {
-    /// The algorithm this solver runs.
-    fn algorithm(&self) -> Algorithm;
-
-    /// The stream clock: the latest arrival or advance time seen
-    /// (`−∞` before the first event).
-    fn now(&self) -> f64;
-
-    /// The substrate's live speed at the stream clock.
-    fn speed(&self) -> f64;
-
-    /// Number of events (arrivals and advances) processed so far.
-    fn events(&self) -> u64;
-
-    /// Feeds one arriving job, applying the algorithm's query and split
-    /// strategy on the spot. Arrivals must be fed in non-decreasing
-    /// release order. Returns the speed change at the arrival instant.
-    fn on_arrival(&mut self, job: QJob) -> Result<SpeedDelta, StreamError>;
-
-    /// Advances the stream clock to `t` with no arrival: releases the
-    /// exact parts of queries completing by `t` and commits the planned
-    /// profile up to `t`. Time never flows backwards.
-    fn advance_to(&mut self, t: f64) -> Result<(), StreamError>;
-
-    /// Finishes the stream: runs out the horizon and returns the same
-    /// validated [`QbssOutcome`] the batch entry point would produce
-    /// for the jobs fed so far.
-    fn finish(self: Box<Self>) -> Result<QbssOutcome, QbssError>;
-}
-
 /// The classical substrate a [`StreamingSolver`] drives.
 enum Substrate {
     Avr(AvrStream),
@@ -214,14 +184,32 @@ impl Substrate {
     }
 }
 
-/// The streaming engine behind AVRQ, BKPQ and OAQ: applies a
-/// deterministic [`Strategy`] per arrival, drives the matching classical
+/// A deterministic [`Strategy`] as an [`OnlinePolicy`]. Only
+/// [`StreamingSolver::with_strategy`] builds one, after rejecting the
+/// rules an online algorithm cannot apply.
+struct RulePolicy(Strategy);
+
+impl OnlinePolicy for RulePolicy {
+    fn decide(&mut self, job: &VisibleJob) -> Option<f64> {
+        let Strategy { query, split } = self.0;
+        if !query.decide_visible(job.query_load, job.upper_bound, &mut NoRandomness) {
+            return None;
+        }
+        // The oracle split, the one rule without a visible fraction, was
+        // rejected at construction.
+        let x = split.visible_fraction(job)?;
+        Some(job.release + x * (job.deadline - job.release))
+    }
+}
+
+/// The online engine behind AVRQ, BKPQ and OAQ: asks an [`OnlinePolicy`]
+/// for each arrival's query and split, drives the matching classical
 /// substrate incrementally, and withholds each queried job's exact part
-/// until its split point passes.
+/// until its split point passes. It is `Send`, so a serve session can
+/// move between threads.
 pub struct StreamingSolver {
     algorithm: Algorithm,
-    alg_name: &'static str,
-    strategy: Strategy,
+    policy: Box<dyn OnlinePolicy + Send>,
     substrate: Substrate,
     /// Arrived jobs, in feed order.
     jobs: Vec<QJob>,
@@ -236,19 +224,31 @@ pub struct StreamingSolver {
 }
 
 impl StreamingSolver {
-    fn with(
+    /// A solver running `algorithm`'s substrate, deciding each arrival
+    /// with `policy`.
+    ///
+    /// Only the online single-machine algorithms stream: the offline
+    /// common-release family needs the whole instance up front, and the
+    /// multi-machine variants assign jobs globally. Those return
+    /// [`AlgorithmError::UnsupportedStructure`].
+    pub fn new(
         algorithm: Algorithm,
-        alg_name: &'static str,
-        strategy: Strategy,
-        substrate: Substrate,
+        policy: Box<dyn OnlinePolicy + Send>,
     ) -> Result<Self, AlgorithmError> {
-        if strategy.query.is_randomized() {
-            return Err(AlgorithmError::RandomizedRule { algorithm: alg_name });
-        }
+        let substrate = match algorithm {
+            Algorithm::Avrq => Substrate::Avr(AvrStream::new()),
+            Algorithm::Bkpq => Substrate::Bkp(BkpStream::new()),
+            Algorithm::Oaq => Substrate::Oa(OaStream::new()),
+            other => {
+                return Err(AlgorithmError::UnsupportedStructure {
+                    algorithm: other.name(),
+                    reason: "the whole instance up front; only avrq, bkpq and oaq stream".into(),
+                })
+            }
+        };
         Ok(Self {
             algorithm,
-            alg_name,
-            strategy,
+            policy,
             substrate,
             jobs: Vec::new(),
             decisions: Vec::new(),
@@ -259,46 +259,56 @@ impl StreamingSolver {
         })
     }
 
-    /// A streaming AVRQ solver with an arbitrary deterministic strategy
-    /// (the ablation entry point; the paper's AVRQ is [`Self::avrq`]).
-    pub fn avrq_with(strategy: Strategy) -> Result<Self, AlgorithmError> {
-        Self::with(Algorithm::Avrq, "AVRQ", strategy, Substrate::Avr(AvrStream::new()))
+    /// A solver deciding each arrival by a deterministic `strategy` —
+    /// the paper's rules and the split/threshold ablations. Rejects what
+    /// an online algorithm cannot apply: randomized query rules
+    /// ([`AlgorithmError::RandomizedRule`]), the oracle split, which
+    /// reads `w*` before the query completes, and split fractions
+    /// outside `(0, 1)` ([`AlgorithmError::InvalidStrategy`]).
+    pub fn with_strategy(algorithm: Algorithm, strategy: Strategy) -> Result<Self, AlgorithmError> {
+        let name = algorithm.name();
+        if strategy.query.is_randomized() {
+            return Err(AlgorithmError::RandomizedRule { algorithm: name });
+        }
+        let reason = match strategy.split {
+            SplitRule::Oracle => {
+                Some("the oracle split reads w* before the query completes".into())
+            }
+            SplitRule::Fraction(x) if !(x > 0.0 && x < 1.0) => {
+                Some(format!("split fraction {x} is outside (0, 1)"))
+            }
+            _ => None,
+        };
+        if let Some(reason) = reason {
+            return Err(AlgorithmError::InvalidStrategy { algorithm: name, reason });
+        }
+        Self::new(algorithm, Box::new(RulePolicy(strategy)))
     }
 
-    /// The paper's AVRQ: query always, split at the midpoint, AVR below.
-    pub fn avrq() -> Self {
-        Self::avrq_with(Strategy::always_equal()).unwrap_or_else(|e| panic!("{e}"))
+    /// The algorithm this solver runs.
+    pub fn algorithm(&self) -> Algorithm {
+        self.algorithm
     }
 
-    /// A streaming BKPQ solver with an arbitrary deterministic strategy
-    /// (the ablation entry point; the paper's BKPQ is [`Self::bkpq`]).
-    pub fn bkpq_with(strategy: Strategy) -> Result<Self, AlgorithmError> {
-        Self::with(Algorithm::Bkpq, "BKPQ", strategy, Substrate::Bkp(BkpStream::new()))
-    }
-
-    /// The paper's BKPQ: golden-ratio rule, midpoint split, BKP below.
-    pub fn bkpq() -> Self {
-        Self::bkpq_with(Strategy::golden_equal()).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// A streaming OAQ solver with an arbitrary deterministic strategy.
-    pub fn oaq_with(strategy: Strategy) -> Result<Self, AlgorithmError> {
-        Self::with(Algorithm::Oaq, "OAQ", strategy, Substrate::Oa(OaStream::new()))
-    }
-
-    /// OAQ: golden-ratio rule, midpoint split, incremental OA below.
-    pub fn oaq() -> Self {
-        Self::oaq_with(Strategy::golden_equal()).unwrap_or_else(|e| panic!("{e}"))
+    /// The stream clock: the latest arrival or advance time seen (`−∞`
+    /// before the first event).
+    pub fn now(&self) -> f64 {
+        self.clock
     }
 
     /// The substrate's live speed at the stream clock (0 before the
     /// first event).
-    pub fn speed_now(&self) -> f64 {
+    pub fn speed(&self) -> f64 {
         if self.clock.is_finite() {
             self.substrate.speed_after(self.clock)
         } else {
             0.0
         }
+    }
+
+    /// Number of events (arrivals and advances) processed so far.
+    pub fn events(&self) -> u64 {
+        self.events
     }
 
     /// Releases pending exact parts whose split point has been reached.
@@ -309,46 +319,38 @@ impl StreamingSolver {
         }
     }
 
-    /// Inherent form of [`OnlineSolver::on_arrival`], returning the
-    /// stream-typed error directly.
-    pub fn feed(&mut self, job: QJob) -> Result<SpeedDelta, StreamError> {
+    /// Feeds one arriving job: the policy decides its query and split on
+    /// the spot, from the visible part alone. Arrivals must be fed in
+    /// non-decreasing release order. Returns the speed change at the
+    /// arrival instant; a rejected arrival leaves the solver unchanged.
+    pub fn on_arrival(&mut self, job: QJob) -> Result<SpeedDelta, StreamError> {
+        let algorithm = self.algorithm.name();
         job.validate()?;
         if job.release + EPS < self.clock {
-            return Err(StreamError::OutOfOrder {
-                algorithm: self.alg_name,
-                last: self.clock,
-                got: job.release,
-            });
+            return Err(StreamError::OutOfOrder { algorithm, last: self.clock, got: job.release });
         }
         if self.seen.contains(&job.id) {
-            return Err(StreamError::DuplicateJob { algorithm: self.alg_name, job: job.id });
+            return Err(StreamError::DuplicateJob { algorithm, job: job.id });
         }
         // Decide before touching any stream state so a rejected split
         // leaves the solver exactly as it was.
-        let decision = if self.strategy.query.decide(&job, &mut NoRandomness) {
-            let tau = self.strategy.split.split(&job);
+        let split = self.policy.decide(&job.visible());
+        if let Some(tau) = split {
             if !(tau > job.release + EPS && tau < job.deadline - EPS) {
-                return Err(StreamError::SplitOutsideWindow {
-                    algorithm: self.alg_name,
-                    job: job.id,
-                    tau,
-                });
+                return Err(StreamError::SplitOutsideWindow { algorithm, job: job.id, tau });
             }
-            Decision::query(job.id, tau)
-        } else {
-            Decision::no_query(job.id)
-        };
+        }
         let t = job.release;
         qbss_telemetry::counter!("solver.events").inc();
         let _span = qbss_telemetry::span!("solver.event", {
             job = job.id,
             t = t,
-            queried = decision.queried,
+            queried = split.is_some(),
         });
         self.seen.insert(job.id);
         self.flush_pending(t);
         let before = self.substrate.speed_after(t);
-        match decision.split {
+        let decision = match split {
             Some(tau) => {
                 self.substrate.on_arrival(Job::new(job.id, t, tau, job.query_load));
                 // The exact part exists only once the query completes at
@@ -357,11 +359,13 @@ impl StreamingSolver {
                 let exact = Job::new(job.id, tau, job.deadline, job.reveal_exact());
                 let at = self.pending.partition_point(|p| p.release <= exact.release);
                 self.pending.insert(at, exact);
+                Decision::query(job.id, tau)
             }
             None => {
                 self.substrate.on_arrival(Job::new(job.id, t, job.deadline, job.upper_bound));
+                Decision::no_query(job.id)
             }
-        }
+        };
         let after = self.substrate.speed_after(t);
         self.clock = self.clock.max(t);
         self.events += 1;
@@ -370,17 +374,16 @@ impl StreamingSolver {
         Ok(SpeedDelta { at: t, before, after })
     }
 
-    /// Inherent form of [`OnlineSolver::advance_to`].
-    pub fn advance(&mut self, t: f64) -> Result<(), StreamError> {
+    /// Advances the stream clock to `t` with no arrival: releases the
+    /// exact parts of queries completing by `t` and commits the planned
+    /// profile up to `t`. Time never flows backwards.
+    pub fn advance_to(&mut self, t: f64) -> Result<(), StreamError> {
+        let algorithm = self.algorithm.name();
         if !t.is_finite() {
-            return Err(StreamError::NonFiniteTime { algorithm: self.alg_name, t });
+            return Err(StreamError::NonFiniteTime { algorithm, t });
         }
         if t + EPS < self.clock {
-            return Err(StreamError::OutOfOrder {
-                algorithm: self.alg_name,
-                last: self.clock,
-                got: t,
-            });
+            return Err(StreamError::OutOfOrder { algorithm, last: self.clock, got: t });
         }
         qbss_telemetry::counter!("solver.advances").inc();
         self.flush_pending(t);
@@ -390,73 +393,36 @@ impl StreamingSolver {
         Ok(())
     }
 
-    /// Inherent form of [`OnlineSolver::finish`], returning the
-    /// algorithm-typed error the batch entry points expose. The solver
-    /// is drained and must not be fed afterwards.
-    pub fn finish_batch(&mut self) -> Result<QbssOutcome, AlgorithmError> {
+    /// Finishes the stream: runs out the horizon and returns the same
+    /// validated [`QbssOutcome`] the batch entry point would produce for
+    /// the jobs fed so far.
+    pub fn finish(mut self) -> Result<QbssOutcome, AlgorithmError> {
+        let algorithm = self.algorithm.name();
         if self.jobs.is_empty() {
-            return Err(AlgorithmError::EmptyInstance { algorithm: self.alg_name });
+            return Err(AlgorithmError::EmptyInstance { algorithm });
         }
         self.flush_pending(f64::INFINITY);
         let profile = self.substrate.finish();
-        let mut decisions = std::mem::take(&mut self.decisions);
-        decisions.sort_by_key(|d| d.job);
-        let inst = QbssInstance::new(std::mem::take(&mut self.jobs));
-        // Splits and ids were checked at feed time, so the derived
-        // instance cannot fail to build.
-        let derived = derived_instance(&inst, &decisions);
+        self.decisions.sort_by_key(|d| d.job);
+        let inst = QbssInstance::new(self.jobs);
+        let derived = try_derived_instance(&inst, &self.decisions)
+            .map_err(|source| AlgorithmError::Inconsistent { algorithm, source })?;
         let schedule = edf_schedule(&EdfTask::from_instance(&derived), &profile, 0)
-            .map_err(|source| AlgorithmError::Infeasible { algorithm: self.alg_name, source })?;
-        Ok(QbssOutcome { algorithm: self.alg_name.into(), decisions, schedule })
+            .map_err(|source| AlgorithmError::Infeasible { algorithm, source })?;
+        Ok(QbssOutcome { algorithm: algorithm.into(), decisions: self.decisions, schedule })
     }
 }
 
-impl OnlineSolver for StreamingSolver {
-    fn algorithm(&self) -> Algorithm {
-        self.algorithm
-    }
-
-    fn now(&self) -> f64 {
-        self.clock
-    }
-
-    fn speed(&self) -> f64 {
-        self.speed_now()
-    }
-
-    fn events(&self) -> u64 {
-        self.events
-    }
-
-    fn on_arrival(&mut self, job: QJob) -> Result<SpeedDelta, StreamError> {
-        self.feed(job)
-    }
-
-    fn advance_to(&mut self, t: f64) -> Result<(), StreamError> {
-        self.advance(t)
-    }
-
-    fn finish(mut self: Box<Self>) -> Result<QbssOutcome, QbssError> {
-        Ok(self.finish_batch()?)
-    }
-}
-
-/// Builds a streaming solver for `algorithm`.
-///
-/// Only the online single-machine algorithms stream: the offline
-/// common-release family needs the whole instance up front, and the
-/// multi-machine variants assign jobs globally. Those return
+/// A streaming solver for `algorithm` with the paper's strategy: AVRQ
+/// queries always, BKPQ and OAQ by the golden-ratio rule, all split at
+/// the midpoint. Batch-only algorithms return
 /// [`AlgorithmError::UnsupportedStructure`].
-pub fn solver_for(algorithm: Algorithm) -> Result<Box<dyn OnlineSolver + Send>, AlgorithmError> {
-    match algorithm {
-        Algorithm::Avrq => Ok(Box::new(StreamingSolver::avrq())),
-        Algorithm::Bkpq => Ok(Box::new(StreamingSolver::bkpq())),
-        Algorithm::Oaq => Ok(Box::new(StreamingSolver::oaq())),
-        other => Err(AlgorithmError::UnsupportedStructure {
-            algorithm: other.name(),
-            reason: "the whole instance up front; only avrq, bkpq and oaq stream".into(),
-        }),
-    }
+pub fn solver_for(algorithm: Algorithm) -> Result<StreamingSolver, AlgorithmError> {
+    let strategy = match algorithm {
+        Algorithm::Avrq => Strategy::always_equal(),
+        _ => Strategy::golden_equal(),
+    };
+    StreamingSolver::with_strategy(algorithm, strategy)
 }
 
 /// The canonical feed order: jobs sorted by release, ties by id. The
@@ -473,28 +439,42 @@ pub fn arrival_ordered(inst: &QbssInstance) -> Vec<QJob> {
     jobs
 }
 
-/// Feeds every job of a validated instance in canonical arrival order
-/// and finishes — the adapter the batch `try_*` entry points are built
-/// on.
-pub fn batch_outcome(
+/// Validates `inst`, feeds it in canonical arrival order and finishes —
+/// the adapter the batch `try_*` entry points are built on. A split the
+/// policy places outside a job's window is
+/// [`AlgorithmError::Inconsistent`].
+pub(crate) fn batch_outcome(
     mut solver: StreamingSolver,
     inst: &QbssInstance,
 ) -> Result<QbssOutcome, AlgorithmError> {
+    inst.validate()?;
     for job in arrival_ordered(inst) {
-        solver.feed(job).map_err(|e| match e {
-            StreamError::Model(m) => AlgorithmError::InvalidInstance(m),
+        solver.on_arrival(job).map_err(|e| match e {
+            StreamError::SplitOutsideWindow { algorithm, job: id, tau } => {
+                AlgorithmError::Inconsistent {
+                    algorithm,
+                    source: ValidationError::SplitOutsideWindow {
+                        job: id,
+                        tau,
+                        release: job.release,
+                        deadline: job.deadline,
+                    },
+                }
+            }
             other => unreachable!("sorted feed of a validated instance cannot fail: {other}"),
         })?;
     }
-    solver.finish_batch()
+    solver.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::QJob;
-    use crate::online::{try_avrq, try_bkpq, try_oaq};
-    use crate::policy::{QueryRule, SplitRule};
+    use crate::online::{
+        avrq_profile, bkpq_profile, try_avrq, try_avrq_with, try_bkpq, try_bkpq_with, try_oaq,
+    };
+    use crate::policy::QueryRule;
 
     fn online_instance() -> QbssInstance {
         QbssInstance::new(vec![
@@ -504,12 +484,33 @@ mod tests {
         ])
     }
 
+    fn solver(algorithm: Algorithm) -> StreamingSolver {
+        solver_for(algorithm).expect("streamable")
+    }
+
     fn stream_outcome(algorithm: Algorithm, inst: &QbssInstance) -> QbssOutcome {
-        let mut solver = solver_for(algorithm).expect("streamable");
+        let mut solver = solver(algorithm);
         for job in arrival_ordered(inst) {
             solver.on_arrival(job).expect("in-order feed");
         }
         solver.finish().expect("outcome")
+    }
+
+    /// Feeds `inst` in time order and checks the live speed after
+    /// `advance_to(t)` against `analytic` at every segment midpoint `t`.
+    fn assert_stepped_matches(algorithm: Algorithm, inst: &QbssInstance, analytic: &SpeedProfile) {
+        let mut solver = solver(algorithm);
+        let mut arrivals = arrival_ordered(inst).into_iter().peekable();
+        for w in analytic.breakpoints().windows(2) {
+            let t = 0.5 * (w[0] + w[1]);
+            while let Some(job) = arrivals.next_if(|j| j.release <= t) {
+                solver.on_arrival(job).expect("in-order feed");
+            }
+            solver.advance_to(t).expect("forward in time");
+            let (live, expected) = (solver.speed(), analytic.speed_at(t));
+            let close = (live - expected).abs() <= 1e-9 * expected.abs() + 1e-12;
+            assert!(close, "{algorithm} at t = {t}: live {live} vs analytic {expected}");
+        }
     }
 
     #[test]
@@ -528,8 +529,8 @@ mod tests {
 
     #[test]
     fn delta_reports_the_arrival_speed_change() {
-        let mut s = StreamingSolver::oaq();
-        let d = s.feed(QJob::new(0, 0.0, 2.0, 0.5, 2.0, 1.0)).expect("feed");
+        let mut s = solver(Algorithm::Oaq);
+        let d = s.on_arrival(QJob::new(0, 0.0, 2.0, 0.5, 2.0, 1.0)).expect("feed");
         assert_eq!(d.at, 0.0);
         assert_eq!(d.before, 0.0);
         assert!(d.after > 0.0, "an arrival into an idle stream must raise the speed");
@@ -540,11 +541,147 @@ mod tests {
     fn exact_part_is_released_at_the_split_point() {
         // AVRQ on (0, 2], c = 0.5, w* = 1: density 0.5 on (0, 1] from
         // the query part, then 1.0 on (1, 2] once the query completes.
-        let mut s = StreamingSolver::avrq();
-        s.feed(QJob::new(0, 0.0, 2.0, 0.5, 2.0, 1.0)).expect("feed");
-        assert!((s.speed_now() - 0.5).abs() < 1e-12);
-        s.advance(1.5).expect("advance");
-        assert!((s.speed_now() - 1.0).abs() < 1e-12);
+        let mut s = solver(Algorithm::Avrq);
+        s.on_arrival(QJob::new(0, 0.0, 2.0, 0.5, 2.0, 1.0)).expect("feed");
+        assert!((s.speed() - 0.5).abs() < 1e-12);
+        s.advance_to(1.5).expect("advance");
+        assert!((s.speed() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn stepped_avrq_equals_analytic_profile() {
+        let inst = online_instance();
+        assert_stepped_matches(Algorithm::Avrq, &inst, &avrq_profile(&inst));
+    }
+
+    #[test]
+    fn stepped_bkpq_equals_analytic_profile() {
+        let inst = online_instance();
+        assert_stepped_matches(Algorithm::Bkpq, &inst, &bkpq_profile(&inst));
+    }
+
+    #[test]
+    fn exact_load_invisible_before_split() {
+        // Two jobs alike but for w* (0 vs 2): before the split at τ = 1
+        // the live speed must be identical, because the policy and the
+        // substrate cannot see w* yet; after it, the speeds must differ.
+        let speeds = |w_star: f64| {
+            let mut s = solver(Algorithm::Avrq);
+            s.on_arrival(QJob::new(0, 0.0, 2.0, 0.5, 2.0, w_star)).expect("feed");
+            [0.25, 0.5, 0.75, 0.99, 1.5].map(|t| {
+                s.advance_to(t).expect("advance");
+                s.speed()
+            })
+        };
+        let (a, b) = (speeds(0.0), speeds(2.0));
+        assert_eq!(a[..4], b[..4], "pre-split speed leaked w*");
+        assert!((a[4] - b[4]).abs() > 0.5);
+    }
+
+    #[test]
+    fn oracle_split_rejected_online() {
+        // At release the visible job (r = 0, d = 2, c = 0.5, w = 2) is
+        // the same whatever w* is; the oracle split would pick a τ that
+        // depends on w* (1.667 for w* = 0.1, 0.417 for w* = 1.9).
+        let oracle = Strategy { query: QueryRule::Always, split: SplitRule::Oracle };
+        for w_star in [0.1, 1.9] {
+            let inst = QbssInstance::new(vec![QJob::new(0, 0.0, 2.0, 0.5, 2.0, w_star)]);
+            for result in [try_avrq_with(&inst, oracle), try_bkpq_with(&inst, oracle)] {
+                assert!(
+                    matches!(result, Err(AlgorithmError::InvalidStrategy { .. })),
+                    "w* = {w_star}: {result:?}"
+                );
+            }
+        }
+        assert!(matches!(
+            StreamingSolver::with_strategy(Algorithm::Oaq, oracle),
+            Err(AlgorithmError::InvalidStrategy { algorithm: "OAQ", .. })
+        ));
+    }
+
+    #[test]
+    fn split_fraction_outside_the_unit_interval_is_a_typed_error() {
+        let inst = online_instance();
+        for x in [1.5, f64::NAN, 0.0, 1.0, -0.5] {
+            let strategy = Strategy { query: QueryRule::Always, split: SplitRule::Fraction(x) };
+            assert!(
+                matches!(
+                    try_avrq_with(&inst, strategy),
+                    Err(AlgorithmError::InvalidStrategy { .. })
+                ),
+                "Fraction({x})"
+            );
+            assert!(
+                matches!(
+                    try_bkpq_with(&inst, strategy),
+                    Err(AlgorithmError::InvalidStrategy { .. })
+                ),
+                "Fraction({x})"
+            );
+        }
+    }
+
+    #[test]
+    fn split_fraction_too_close_to_the_release_is_inconsistent() {
+        // x = 1e-12 lies in (0, 1), but τ = r + x(d − r) lands within
+        // EPS of the release.
+        let strategy = Strategy { query: QueryRule::Always, split: SplitRule::Fraction(1e-12) };
+        let err = try_avrq_with(&online_instance(), strategy).expect_err("split in the EPS band");
+        assert!(
+            matches!(
+                err,
+                AlgorithmError::Inconsistent {
+                    algorithm: "AVRQ",
+                    source: ValidationError::SplitOutsideWindow { job: 0, .. },
+                }
+            ),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn custom_policy_can_be_plugged_in() {
+        // A policy that queries only jobs with even ids.
+        struct EvenOnly;
+        impl OnlinePolicy for EvenOnly {
+            fn decide(&mut self, job: &VisibleJob) -> Option<f64> {
+                job.id.is_multiple_of(2).then_some(0.5 * (job.release + job.deadline))
+            }
+        }
+        let inst = online_instance();
+        let mut s =
+            StreamingSolver::new(Algorithm::Avrq, Box::new(EvenOnly)).expect("avrq streams");
+        for job in arrival_ordered(&inst) {
+            s.on_arrival(job).expect("feed");
+        }
+        let outcome = s.finish().expect("outcome");
+        outcome.validate(&inst).expect("valid");
+        let queried: Vec<bool> = outcome.decisions.iter().map(|d| d.queried).collect();
+        assert_eq!(queried, vec![true, false, true]);
+        assert!(outcome.energy(3.0) > 0.0);
+    }
+
+    #[test]
+    fn custom_policy_split_outside_the_window_is_rejected() {
+        // Answers NaN, then a τ past the deadline, then the midpoint.
+        struct Scripted(Vec<f64>);
+        impl OnlinePolicy for Scripted {
+            fn decide(&mut self, _job: &VisibleJob) -> Option<f64> {
+                self.0.pop()
+            }
+        }
+        let policy = Scripted(vec![1.0, 5.0, f64::NAN]);
+        let mut s = StreamingSolver::new(Algorithm::Bkpq, Box::new(policy)).expect("bkpq streams");
+        let job = QJob::new(0, 0.0, 2.0, 0.5, 2.0, 1.0);
+        for _ in 0..2 {
+            let err = s.on_arrival(job).expect_err("split outside (0, 2)");
+            assert!(matches!(err, StreamError::SplitOutsideWindow { job: 0, .. }), "{err:?}");
+            assert_eq!((s.events(), s.speed(), s.now()), (0, 0.0, f64::NEG_INFINITY));
+        }
+        s.on_arrival(job).expect("the next valid arrival is accepted");
+        assert_eq!(s.events(), 1);
+        let outcome = s.finish().expect("outcome");
+        assert_eq!(outcome.decisions, vec![Decision::query(0, 1.0)]);
     }
 
     #[test]
@@ -552,7 +689,7 @@ mod tests {
         let inst = online_instance();
         for algorithm in [Algorithm::Avrq, Algorithm::Bkpq, Algorithm::Oaq] {
             let batch = crate::pipeline::run_evaluated(&inst, 3.0, algorithm).expect("batch");
-            let mut solver = solver_for(algorithm).expect("streamable");
+            let mut solver = solver(algorithm);
             for job in arrival_ordered(&inst) {
                 solver.advance_to(job.release).expect("advance");
                 solver.on_arrival(job).expect("feed");
@@ -570,45 +707,41 @@ mod tests {
 
     #[test]
     fn out_of_order_arrivals_are_rejected() {
-        let mut s = StreamingSolver::avrq();
-        s.feed(QJob::new(0, 2.0, 4.0, 0.5, 1.0, 0.5)).expect("feed");
-        let err = s.feed(QJob::new(1, 0.5, 4.0, 0.5, 1.0, 0.5)).expect_err("must reject");
+        let mut s = solver(Algorithm::Avrq);
+        s.on_arrival(QJob::new(0, 2.0, 4.0, 0.5, 1.0, 0.5)).expect("feed");
+        let err = s.on_arrival(QJob::new(1, 0.5, 4.0, 0.5, 1.0, 0.5)).expect_err("must reject");
         assert!(matches!(err, StreamError::OutOfOrder { .. }));
         assert_eq!(s.events(), 1, "rejected events must not count");
     }
 
     #[test]
     fn duplicate_ids_are_rejected() {
-        let mut s = StreamingSolver::bkpq();
-        s.feed(QJob::new(7, 0.0, 2.0, 0.5, 1.0, 0.5)).expect("feed");
-        let err = s.feed(QJob::new(7, 1.0, 3.0, 0.5, 1.0, 0.5)).expect_err("must reject");
+        let mut s = solver(Algorithm::Bkpq);
+        s.on_arrival(QJob::new(7, 0.0, 2.0, 0.5, 1.0, 0.5)).expect("feed");
+        let err = s.on_arrival(QJob::new(7, 1.0, 3.0, 0.5, 1.0, 0.5)).expect_err("must reject");
         assert!(matches!(err, StreamError::DuplicateJob { job: 7, .. }));
     }
 
     #[test]
     fn malformed_jobs_are_rejected() {
-        let mut s = StreamingSolver::bkpq();
+        let mut s = solver(Algorithm::Bkpq);
         let bad = QJob::new_unchecked(0, 0.0, 2.0, 0.5, 2.0, f64::NAN);
-        assert!(matches!(s.feed(bad), Err(StreamError::Model(_))));
+        assert!(matches!(s.on_arrival(bad), Err(StreamError::Model(_))));
     }
 
     #[test]
     fn time_cannot_flow_backwards() {
-        let mut s = StreamingSolver::oaq();
-        s.feed(QJob::new(0, 1.0, 3.0, 0.5, 2.0, 1.0)).expect("feed");
-        s.advance(2.0).expect("advance");
-        assert!(matches!(s.advance(1.0), Err(StreamError::OutOfOrder { .. })));
-        assert!(matches!(s.advance(f64::NAN), Err(StreamError::NonFiniteTime { .. })));
+        let mut s = solver(Algorithm::Oaq);
+        s.on_arrival(QJob::new(0, 1.0, 3.0, 0.5, 2.0, 1.0)).expect("feed");
+        s.advance_to(2.0).expect("advance");
+        assert!(matches!(s.advance_to(1.0), Err(StreamError::OutOfOrder { .. })));
+        assert!(matches!(s.advance_to(f64::NAN), Err(StreamError::NonFiniteTime { .. })));
     }
 
     #[test]
     fn empty_finish_reports_empty_instance() {
-        let s = solver_for(Algorithm::Oaq).expect("streamable");
-        let err = s.finish().expect_err("empty stream has no outcome");
-        assert!(matches!(
-            err,
-            QbssError::Algorithm(AlgorithmError::EmptyInstance { algorithm: "OAQ" })
-        ));
+        let err = solver(Algorithm::Oaq).finish().expect_err("empty stream has no outcome");
+        assert!(matches!(err, AlgorithmError::EmptyInstance { algorithm: "OAQ" }));
     }
 
     #[test]
@@ -630,7 +763,7 @@ mod tests {
     fn randomized_strategies_cannot_stream() {
         let s = Strategy { query: QueryRule::Probabilistic(0.5), split: SplitRule::EqualWindow };
         assert!(matches!(
-            StreamingSolver::bkpq_with(s),
+            StreamingSolver::with_strategy(Algorithm::Bkpq, s),
             Err(AlgorithmError::RandomizedRule { algorithm: "BKPQ" })
         ));
     }

@@ -87,11 +87,11 @@ pub const WORK_COUNTERS: &[WorkCounter] = &[
     ),
     (
         "solver.advances",
-        "OnlineSolver::advance_to call processed by the streaming core",
+        "StreamingSolver::advance_to call processed by the streaming core",
     ),
     (
         "solver.events",
-        "OnlineSolver::on_arrival event processed by the streaming core",
+        "StreamingSolver::on_arrival event processed by the streaming core",
     ),
     (
         "yds.density_evals",

@@ -6,7 +6,7 @@
 //! adapters over the streams in this module: they feed the instance's
 //! jobs in arrival order (release-sorted, stable) and call
 //! [`OaStream::finish`] & co. A long-lived caller — the `qbss-core`
-//! `OnlineSolver` layer, and transitively a serve-plane session — feeds
+//! `StreamingSolver`, and transitively a serve-plane session — feeds
 //! the same streams one arrival at a time instead, paying an amortized
 //! per-event cost rather than a per-instance re-solve.
 //!

@@ -1,22 +1,22 @@
 //! Extending the library: plug your own query policy into the online
-//! simulator.
+//! engine.
 //!
 //! The paper's algorithms commit to a fixed rule (always / golden
 //! ratio). Downstream users often have side information — say, a
 //! per-job *predicted* compressibility from a cheap model. This example
 //! implements a prediction-guided policy against the
-//! `qbss_core::sim::OnlinePolicy` trait, runs it through the
-//! information-faithful simulator, and compares it with the paper's
-//! rules. (With perfect predictions it approaches the clairvoyant query
-//! decisions; with adversarial predictions it degrades gracefully to
-//! the upper-bound workloads it actually executes.)
+//! `qbss_core::OnlinePolicy` trait, runs it through `StreamingSolver` —
+//! the engine behind AVRQ, BKPQ and OAQ, which hands a policy only each
+//! job's visible part — and compares it with the paper's rules. (With
+//! perfect predictions it approaches the clairvoyant query decisions;
+//! with adversarial predictions it degrades gracefully to the
+//! upper-bound workloads it actually executes.)
 //!
 //! Run with: `cargo run --release -p qbss-cli --example custom_policy`
 
-use qbss_core::decision::Decision;
 use qbss_core::model::{QbssInstance, VisibleJob};
-use qbss_core::sim::{simulate, OnlinePolicy, StrategyPolicy, Substrate};
-use qbss_core::Strategy;
+use qbss_core::stream::arrival_ordered;
+use qbss_core::{Algorithm, OnlinePolicy, QbssOutcome, Strategy, StreamingSolver};
 use qbss_instances::gen::{generate, Compressibility, GenConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -30,19 +30,23 @@ struct PredictionPolicy {
 }
 
 impl OnlinePolicy for PredictionPolicy {
-    fn on_arrival(&mut self, job: &VisibleJob) -> Decision {
+    fn decide(&mut self, job: &VisibleJob) -> Option<f64> {
         let predicted = self
             .predictions
             .iter()
             .find(|(id, _)| *id == job.id)
             .map(|(_, p)| *p)
             .unwrap_or(job.upper_bound);
-        if job.query_load + predicted < job.upper_bound {
-            Decision::query(job.id, 0.5 * (job.release + job.deadline))
-        } else {
-            Decision::no_query(job.id)
-        }
+        (job.query_load + predicted < job.upper_bound).then_some(0.5 * (job.release + job.deadline))
     }
+}
+
+/// Feeds `inst` through `solver` in arrival order and finishes the run.
+fn run(mut solver: StreamingSolver, inst: &QbssInstance) -> QbssOutcome {
+    for job in arrival_ordered(inst) {
+        solver.on_arrival(job).expect("in-order arrival");
+    }
+    solver.finish().expect("outcome")
 }
 
 fn main() {
@@ -55,19 +59,19 @@ fn main() {
     println!("Prediction-guided queries vs the paper's fixed rules (AVR substrate, alpha = 3)\n");
     println!("{:<28} {:>10} {:>12}", "policy", "queries", "energy");
 
-    let report = |name: &str, profile: &speed_scaling::SpeedProfile, queries: usize| {
-        println!("{name:<28} {queries:>7}/40 {:>12.2}", profile.energy(alpha));
+    let report = |name: &str, outcome: &QbssOutcome| {
+        let queries = outcome.decisions.iter().filter(|d| d.queried).count();
+        println!("{name:<28} {queries:>7}/40 {:>12.2}", outcome.energy(alpha));
     };
 
-    // Paper rules through the same simulator.
+    // Paper rules through the same engine.
     for (name, strategy) in [
         ("always query (AVRQ)", Strategy::always_equal()),
         ("golden ratio", Strategy::golden_equal()),
     ] {
-        let mut policy = StrategyPolicy::new(strategy);
-        let sim = simulate(&inst, &mut policy, Substrate::Avr);
-        let q = sim.decisions.iter().filter(|d| d.queried).count();
-        report(name, &sim.profile, q);
+        let solver = StreamingSolver::with_strategy(Algorithm::Avrq, strategy)
+            .expect("the paper's rules run online");
+        report(name, &run(solver, &inst));
     }
 
     // Prediction-guided, with increasing noise.
@@ -81,15 +85,14 @@ fn main() {
                 (j.id, (j.reveal_exact() * (1.0 + eps)).max(0.0))
             })
             .collect();
-        let mut policy = PredictionPolicy { predictions };
-        let sim = simulate(&inst, &mut policy, Substrate::Avr);
-        let q = sim.decisions.iter().filter(|d| d.queried).count();
-        report(&format!("predictions (noise ±{noise})"), &sim.profile, q);
+        let policy = Box::new(PredictionPolicy { predictions });
+        let solver = StreamingSolver::new(Algorithm::Avrq, policy).expect("AVRQ streams");
+        report(&format!("predictions (noise ±{noise})"), &run(solver, &inst));
     }
 
     println!("\nNotes:");
-    println!("  * the simulator reveals w* only after the query window, so even this");
-    println!("    custom policy cannot peek — predictions enter from the outside;");
+    println!("  * a policy sees only each job's visible part and w* arrives at the split,");
+    println!("    so even this custom policy cannot peek — predictions enter from the outside;");
     println!("  * with exact predictions the policy queries exactly when the clairvoyant");
     println!("    optimum would; noise degrades it toward the fixed rules;");
     println!("  * the golden-ratio rule needs no predictions at all and is minimax-optimal");

@@ -265,26 +265,37 @@ fn avrq_speed_domination_property() {
     });
 }
 
-/// The step-by-step online simulator reproduces the analytic AVRQ and
-/// BKPQ profiles exactly on random instances — the
-/// "online-faithfulness" of the one-pass constructions, as a property.
+/// The streaming engine, stepped through time, reproduces the analytic
+/// AVRQ and BKPQ profiles on random instances — the
+/// "online-faithfulness" of the one-pass constructions, as a property:
+/// at every segment midpoint `t`, after feeding the arrivals released by
+/// `t` and `advance_to(t)`, the live speed equals the analytic speed
+/// within 1e-9 relative (1e-12 absolute near zero).
 #[test]
 fn stepped_simulation_matches_analytic() {
     for_cases("stepped_simulation_matches_analytic", |rng| {
-        use qbss_core::sim::{simulate, StrategyPolicy, Substrate};
-        use qbss_core::Strategy;
+        use qbss_core::stream::{arrival_ordered, solver_for};
+        use qbss_core::Algorithm;
         let inst = arb_qinstance(rng, 5);
-        let mut avr_policy = StrategyPolicy::new(Strategy::always_equal());
-        let sim = simulate(&inst, &mut avr_policy, Substrate::Avr);
-        let analytic = qbss_core::online::avrq_profile(&inst);
-        assert!(sim.profile.dominated_by(&analytic, 1.0).is_ok());
-        assert!(analytic.dominated_by(&sim.profile, 1.0).is_ok());
-
-        let mut bkp_policy = StrategyPolicy::new(Strategy::golden_equal());
-        let sim = simulate(&inst, &mut bkp_policy, Substrate::Bkp);
-        let analytic = qbss_core::online::bkpq_profile(&inst);
-        assert!(sim.profile.dominated_by(&analytic, 1.0).is_ok());
-        assert!(analytic.dominated_by(&sim.profile, 1.0).is_ok());
+        for (algorithm, analytic) in [
+            (Algorithm::Avrq, qbss_core::online::avrq_profile(&inst)),
+            (Algorithm::Bkpq, qbss_core::online::bkpq_profile(&inst)),
+        ] {
+            let mut solver = solver_for(algorithm).expect("streamable");
+            let mut arrivals = arrival_ordered(&inst).into_iter().peekable();
+            for w in analytic.breakpoints().windows(2) {
+                let t = 0.5 * (w[0] + w[1]);
+                while let Some(job) = arrivals.next_if(|j| j.release <= t) {
+                    solver.on_arrival(job).expect("in-order arrival");
+                }
+                solver.advance_to(t).expect("forward in time");
+                let (live, expected) = (solver.speed(), analytic.speed_at(t));
+                assert!(
+                    (live - expected).abs() <= 1e-9 * expected.abs() + 1e-12,
+                    "{algorithm} at t = {t}: live {live} vs analytic {expected}"
+                );
+            }
+        }
     });
 }
 
