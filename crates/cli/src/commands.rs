@@ -619,36 +619,22 @@ enum StreamEvent {
 /// Parses one JSONL event line: `{"type": "arrive", "id": …,
 /// "release": …, "deadline": …, "query_load": …, "upper_bound": …,
 /// "exact": …}`, `{"type": "advance", "t": …}` or `{"type": "finish"}`.
-/// Job fields are *not* model-validated here — the streaming engine
-/// rejects malformed jobs with its typed errors.
+/// An `arrive` event's job is decoded by [`io::job_from_value`], the
+/// rules instance files follow; it is *not* model-validated here — the
+/// streaming engine rejects malformed jobs with its typed errors.
 fn parse_event(line: &str) -> Result<StreamEvent, String> {
     let v = qbss_telemetry::json_parse(line).map_err(|e| format!("not a JSON event: {e}"))?;
     let ty = v
         .get("type")
         .and_then(JsonValue::as_str)
         .ok_or_else(|| "event needs a string `type` field".to_string())?;
-    let num = |name: &str| {
-        v.get(name)
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("`{ty}` event needs a number field `{name}`"))
-    };
     match ty {
-        "arrive" => {
-            let id = v
-                .get("id")
-                .and_then(JsonValue::as_u64)
-                .filter(|&id| id <= u64::from(u32::MAX))
-                .ok_or_else(|| "`arrive` event needs an integer `id`".to_string())?;
-            Ok(StreamEvent::Arrive(QJob::new_unchecked(
-                id as u32,
-                num("release")?,
-                num("deadline")?,
-                num("query_load")?,
-                num("upper_bound")?,
-                num("exact")?,
-            )))
-        }
-        "advance" => Ok(StreamEvent::Advance(num("t")?)),
+        "arrive" => io::job_from_value(&v).map(StreamEvent::Arrive),
+        "advance" => v
+            .get("t")
+            .and_then(JsonValue::as_f64)
+            .map(StreamEvent::Advance)
+            .ok_or_else(|| "`advance` event needs a number field `t`".to_string()),
         "finish" => Ok(StreamEvent::Finish),
         other => Err(format!("unknown event type `{other}` (arrive|advance|finish)")),
     }

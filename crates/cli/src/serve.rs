@@ -99,7 +99,7 @@ use qbss_core::pipeline::{run_for_request, Algorithm};
 use qbss_instances::io::{self, IoError};
 use qbss_telemetry::profile::Profile;
 use qbss_telemetry::{
-    expo, json_escape, json_f64, target_matches, trace, JsonValue, RingSink, DURATION_US_BOUNDS,
+    expo, json_escape, json_f64, target_matches, trace, RingSink, DURATION_US_BOUNDS,
 };
 
 /// Largest accepted request body (instances and sweep specs are small;
@@ -1047,34 +1047,18 @@ fn sweep(req: &HttpRequest, ctx: &ServerCtx<'_>) -> Response {
 /// incremental work on one job, the same order as one `/evaluate` cell.
 const SESSION_EVENT_COST: u64 = 1;
 
-/// Parses one arriving job from a request body: a bare job object with
-/// the same field names instance documents use. Values are *not*
-/// model-validated here — the streaming engine rejects malformed jobs
-/// with typed errors (422).
+/// Parses one arriving job from a request body: a bare job object,
+/// decoded by the same [`io::job_from_value`] that reads instance
+/// documents. Values are *not* model-validated here — the streaming
+/// engine rejects malformed jobs with typed errors (422).
 fn job_from_json(body: &[u8]) -> Result<QJob, Response> {
     let Ok(text) = std::str::from_utf8(body) else {
         return Err(Response::error(400, "bad_request", "body is not UTF-8"));
     };
-    let v = qbss_telemetry::json_parse(text)
-        .map_err(|e| Response::error(400, "syntax", &format!("not a JSON job object: {e}")))?;
-    let id = v
-        .get("id")
-        .and_then(JsonValue::as_u64)
-        .filter(|&id| id <= u64::from(u32::MAX))
-        .ok_or_else(|| Response::error(400, "syntax", "job object needs an integer `id`"))?;
-    let num = |name: &str| {
-        v.get(name).and_then(JsonValue::as_f64).ok_or_else(|| {
-            Response::error(400, "syntax", &format!("job object needs a number field `{name}`"))
-        })
-    };
-    Ok(QJob::new_unchecked(
-        id as u32,
-        num("release")?,
-        num("deadline")?,
-        num("query_load")?,
-        num("upper_bound")?,
-        num("exact")?,
-    ))
+    qbss_telemetry::json_parse(text)
+        .map_err(|e| format!("not a JSON job object: {e}"))
+        .and_then(|v| io::job_from_value(&v))
+        .map_err(|e| Response::error(400, "syntax", &e))
 }
 
 /// `POST /session` — opens a streaming session (`?alg=`, `?alpha=`).
@@ -1781,7 +1765,9 @@ mod tests {
         assert_eq!(job.id, 3);
         assert_eq!(job.release, 0.5);
         assert_eq!(job.reveal_exact(), 0.75);
-        // Missing fields, non-integer ids, and non-JSON are all 400s.
+        // Missing fields, non-integer ids, non-JSON, non-finite tokens
+        // and repeated fields are all 400s, as in instance files: both
+        // decode through `io::job_from_value`.
         for bad in [
             &b"not json"[..],
             br#"{"id": 1.5, "release": 0.0, "deadline": 1.0, "query_load": 0.1,
@@ -1789,6 +1775,10 @@ mod tests {
             br#"{"id": 1, "release": 0.0}"#,
             br#"{"id": 4294967296, "release": 0.0, "deadline": 1.0, "query_load": 0.1,
                  "upper_bound": 1.0, "exact": 0.5}"#,
+            br#"{"id": 1, "release": NaN, "deadline": 1.0, "query_load": 0.1,
+                 "upper_bound": 1.0, "exact": 0.5}"#,
+            br#"{"id": 1, "release": 0.0, "deadline": 1.0, "query_load": 0.1,
+                 "upper_bound": 1.0, "exact": 0.5, "exact": 0.25}"#,
         ] {
             assert_eq!(job_from_json(bad).unwrap_err().status, 400, "{:?}", bad);
         }

@@ -481,6 +481,31 @@ fn chaos_gate_malformed_requests_never_kill_the_server() {
     );
     assert_eq!(status_of(&resp), Some(200), "pipelined garbage: {resp}");
 
+    // Nesting far past the JSON reader's depth cap is a typed 400 on
+    // every JSON endpoint, not a stack overflow (which would abort the
+    // whole process, past any `catch_unwind`).
+    let nested = "[".repeat(20_000);
+    let (status, _, body) = http(&addr, "POST", "/sweep", &nested);
+    assert_eq!(status, 400, "nested /sweep body: {body}");
+    assert!(body.contains("\"kind\": \"syntax\""), "{body}");
+    let (status, _, body) =
+        http(&addr, "POST", "/evaluate", &format!("{{\"jobs\": [], \"x\": {nested}"));
+    assert_eq!(status, 400, "nested /evaluate body: {body}");
+    assert!(body.contains("\"kind\": \"syntax\""), "{body}");
+    let (status, _, body) = http(&addr, "POST", "/session?alg=oaq&alpha=3", "");
+    assert_eq!(status, 200, "{body}");
+    let session = json_num(&body, "session") as u64;
+    let (status, _, body) = http(&addr, "POST", &format!("/session/{session}/arrive"), &nested);
+    assert_eq!(status, 400, "nested arrive body: {body}");
+    assert!(body.contains("\"kind\": \"syntax\""), "{body}");
+
+    // A 1 MiB string is read in linear time: the unknown sweep key
+    // answers its 422 well inside the 2 s request deadline.
+    let long = format!("{{\"x\": \"{}\"}}", "a".repeat(1 << 20));
+    let (status, _, body) = http(&addr, "POST", "/sweep", &long);
+    assert_eq!(status, 422, "1 MiB string in a /sweep body: {body}");
+    assert!(body.contains("unknown key `x`"), "{body}");
+
     // After all of that: still alive, still ready, still serving work.
     let (status, _, _) = http(&addr, "GET", "/readyz", "");
     assert_eq!(status, 200, "server must stay ready after the chaos gate");

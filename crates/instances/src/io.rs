@@ -6,12 +6,15 @@
 //! subcommands. A CSV interop format is provided for spreadsheets and
 //! external trace tooling.
 //!
-//! Both parsers are hand-rolled (the workspace is dependency-free) and
-//! report an [`IoError`] carrying the offending **line number** and, for
-//! semantically malformed jobs, the **job id** and the underlying
-//! [`ModelError`]. `NaN`/`Infinity` tokens are *accepted* by the JSON
-//! number grammar so that fault-injected files fail with a typed model
-//! error rather than an opaque syntax error.
+//! JSON goes through the workspace's one reader, `qbss_telemetry`'s
+//! [`JsonCursor`]: [`from_json`] walks `{"jobs": [...]}` and decodes
+//! each job as soon as it is read through [`job_from_value`], the job
+//! rule set that `qbss serve` session arrivals and `qbss stream` events
+//! share. Both formats report an [`IoError`] carrying the offending
+//! **line number** and, for semantically malformed jobs, the **job id**
+//! and the underlying [`ModelError`]. The JSON grammar is strict:
+//! `NaN`/`Infinity` are not JSON numbers, so such a token is a syntax
+//! error naming its line.
 
 use std::fmt;
 use std::fs;
@@ -20,6 +23,7 @@ use std::path::{Path, PathBuf};
 use qbss_core::error::ModelError;
 use qbss_core::model::{QJob, QbssInstance};
 use qbss_core::outcome::QbssOutcome;
+use qbss_telemetry::{json_escape, json_f64, JsonCursor, JsonError, JsonValue};
 
 /// The CSV header emitted by [`to_csv`] and required by [`from_csv`].
 pub const CSV_HEADER: &str = "id,release,deadline,query_load,upper_bound,exact";
@@ -120,19 +124,13 @@ pub fn to_json(inst: &QbssInstance) -> Result<String, IoError> {
 /// JSON for `run --save-outcome`. Infallible: non-finite numbers — which
 /// only unvalidated outcomes can contain — are emitted as `null`.
 pub fn outcome_to_json(out: &QbssOutcome) -> String {
-    fn num(x: f64) -> String {
-        if x.is_finite() {
-            format!("{x}")
-        } else {
-            "null".into()
-        }
-    }
-    let mut s = format!("{{\n  \"algorithm\": {},\n  \"decisions\": [", quote(&out.algorithm));
+    let mut s =
+        format!("{{\n  \"algorithm\": \"{}\",\n  \"decisions\": [", json_escape(&out.algorithm));
     for (i, d) in out.decisions.iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
-        let split = d.split.map_or("null".into(), num);
+        let split = d.split.map_or("null".into(), json_f64);
         s.push_str(&format!(
             "\n    {{ \"job\": {}, \"queried\": {}, \"split\": {split} }}",
             d.job, d.queried
@@ -153,9 +151,9 @@ pub fn outcome_to_json(out: &QbssOutcome) -> String {
             "\n      {{ \"job\": {}, \"machine\": {}, \"start\": {}, \"end\": {}, \"speed\": {} }}",
             sl.job,
             sl.machine,
-            num(sl.start),
-            num(sl.end),
-            num(sl.speed)
+            json_f64(sl.start),
+            json_f64(sl.end),
+            json_f64(sl.speed)
         ));
     }
     if !out.schedule.slices.is_empty() {
@@ -165,349 +163,100 @@ pub fn outcome_to_json(out: &QbssOutcome) -> String {
     s
 }
 
-fn quote(s: &str) -> String {
-    let mut q = String::with_capacity(s.len() + 2);
-    q.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => q.push_str("\\\""),
-            '\\' => q.push_str("\\\\"),
-            '\n' => q.push_str("\\n"),
-            '\t' => q.push_str("\\t"),
-            '\r' => q.push_str("\\r"),
-            c if (c as u32) < 0x20 => q.push_str(&format!("\\u{:04x}", c as u32)),
-            c => q.push(c),
-        }
-    }
-    q.push('"');
-    q
-}
-
 // ---------------------------------------------------------------------------
-// JSON parser
+// JSON reader
 // ---------------------------------------------------------------------------
 
-/// A minimal recursive-descent JSON reader that tracks line numbers.
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    line: usize,
-}
+/// The fields of a job object, in [`QJob::new_unchecked`]'s order.
+const JOB_FIELDS: [&str; 6] = ["id", "release", "deadline", "query_load", "upper_bound", "exact"];
 
-fn describe(b: Option<u8>) -> String {
-    match b {
-        Some(b) => format!("found `{}`", b as char),
-        None => "found end of input".into(),
-    }
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Self { bytes: text.as_bytes(), pos: 0, line: 1 }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek();
-        if let Some(b) = b {
-            self.pos += 1;
-            if b == b'\n' {
-                self.line += 1;
-            }
-        }
-        b
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.bump();
-        }
-    }
-
-    fn err(&self, message: impl Into<String>) -> IoError {
-        IoError::Syntax { line: self.line, message: message.into() }
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), IoError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b) if b == c => {
-                self.bump();
-                Ok(())
-            }
-            other => Err(self.err(format!("expected `{}`, {}", c as char, describe(other)))),
-        }
-    }
-
-    /// Consumes `word` if it is next (no whitespace skipping).
-    fn eat_word(&mut self, word: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            for _ in 0..word.len() {
-                self.bump();
-            }
-            true
-        } else {
-            false
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, IoError> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            match self.bump() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => return Ok(s),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => s.push('"'),
-                    Some(b'\\') => s.push('\\'),
-                    Some(b'/') => s.push('/'),
-                    Some(b'n') => s.push('\n'),
-                    Some(b't') => s.push('\t'),
-                    Some(b'r') => s.push('\r'),
-                    Some(b'b') => s.push('\u{8}'),
-                    Some(b'f') => s.push('\u{c}'),
-                    Some(b'u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self
-                                .bump()
-                                .and_then(|b| (b as char).to_digit(16))
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            code = code * 16 + d;
-                        }
-                        s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    other => return Err(self.err(format!("bad escape, {}", describe(other)))),
-                },
-                Some(b) if b < 0x80 => s.push(b as char),
-                Some(b) => {
-                    // Re-assemble a UTF-8 multi-byte sequence.
-                    let start = self.pos - 1;
-                    let mut rest = 0;
-                    while self.peek().is_some_and(|n| n & 0xC0 == 0x80) {
-                        self.bump();
-                        rest += 1;
-                    }
-                    match std::str::from_utf8(&self.bytes[start..start + 1 + rest]) {
-                        Ok(frag) => s.push_str(frag),
-                        Err(_) => return Err(self.err(format!("invalid UTF-8 byte 0x{b:02x}"))),
-                    }
-                }
-            }
-        }
-    }
-
-    /// Parses a JSON number. `NaN`, `Infinity` and `-Infinity` are
-    /// accepted on purpose (see module docs).
-    fn parse_number(&mut self) -> Result<f64, IoError> {
-        self.skip_ws();
-        if self.eat_word("NaN") {
-            return Ok(f64::NAN);
-        }
-        if self.eat_word("Infinity") {
-            return Ok(f64::INFINITY);
-        }
-        if self.eat_word("-Infinity") {
-            return Ok(f64::NEG_INFINITY);
-        }
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')) {
-            self.bump();
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
-        if text.is_empty() {
-            return Err(self.err(format!("expected a number, {}", describe(self.peek()))));
-        }
-        text.parse::<f64>().map_err(|e| self.err(format!("bad number `{text}`: {e}")))
-    }
-
-    /// Parses and discards an arbitrary JSON value (unknown fields).
-    fn skip_value(&mut self) -> Result<(), IoError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'"') => self.parse_string().map(drop),
-            Some(b'{') => {
-                self.bump();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.bump();
-                    return Ok(());
-                }
-                loop {
-                    self.parse_string()?;
-                    self.expect(b':')?;
-                    self.skip_value()?;
-                    self.skip_ws();
-                    match self.bump() {
-                        Some(b',') => continue,
-                        Some(b'}') => return Ok(()),
-                        other => {
-                            return Err(self.err(format!("expected `,` or `}}`, {}", describe(other))))
-                        }
-                    }
-                }
-            }
-            Some(b'[') => {
-                self.bump();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.bump();
-                    return Ok(());
-                }
-                loop {
-                    self.skip_value()?;
-                    self.skip_ws();
-                    match self.bump() {
-                        Some(b',') => continue,
-                        Some(b']') => return Ok(()),
-                        other => {
-                            return Err(self.err(format!("expected `,` or `]`, {}", describe(other))))
-                        }
-                    }
-                }
-            }
-            Some(b't') if self.eat_word("true") => Ok(()),
-            Some(b'f') if self.eat_word("false") => Ok(()),
-            Some(b'n') if self.eat_word("null") => Ok(()),
-            _ => self.parse_number().map(drop),
-        }
-    }
-
-    /// Parses `{"jobs": [...]}`, recording the start line of each job.
-    fn parse_instance(&mut self) -> Result<(Vec<QJob>, Vec<usize>), IoError> {
-        self.expect(b'{')?;
-        let mut jobs = None;
-        let mut lines = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.bump();
-        } else {
-            loop {
-                let key = self.parse_string()?;
-                self.expect(b':')?;
-                if key == "jobs" {
-                    if jobs.is_some() {
-                        return Err(self.err("duplicate `jobs` key"));
-                    }
-                    jobs = Some(self.parse_jobs(&mut lines)?);
-                } else {
-                    self.skip_value()?;
-                }
-                self.skip_ws();
-                match self.bump() {
-                    Some(b',') => continue,
-                    Some(b'}') => break,
-                    other => {
-                        return Err(self.err(format!("expected `,` or `}}`, {}", describe(other))))
-                    }
-                }
-            }
-        }
-        match jobs {
-            Some(j) => Ok((j, lines)),
-            None => Err(self.err("missing `jobs` array")),
-        }
-    }
-
-    fn parse_jobs(&mut self, lines: &mut Vec<usize>) -> Result<Vec<QJob>, IoError> {
-        self.expect(b'[')?;
-        let mut jobs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.bump();
-            return Ok(jobs);
-        }
-        loop {
-            self.skip_ws();
-            lines.push(self.line);
-            jobs.push(self.parse_job()?);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(jobs),
-                other => return Err(self.err(format!("expected `,` or `]`, {}", describe(other)))),
-            }
-        }
-    }
-
-    fn parse_job(&mut self) -> Result<QJob, IoError> {
-        self.skip_ws();
-        let start_line = self.line;
-        self.expect(b'{')?;
-        let mut id: Option<u32> = None;
-        const NAMES: [&str; 5] = ["release", "deadline", "query_load", "upper_bound", "exact"];
-        let mut fields: [Option<f64>; 5] = [None; 5];
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.bump();
-        } else {
-            loop {
-                let key = self.parse_string()?;
-                self.expect(b':')?;
-                if key == "id" {
-                    let v = self.parse_number()?;
-                    if !(v.is_finite() && v >= 0.0 && v.fract() == 0.0 && v <= f64::from(u32::MAX))
-                    {
-                        return Err(
-                            self.err(format!("job id must be a non-negative integer, got {v}"))
-                        );
-                    }
-                    id = Some(v as u32);
-                } else if let Some(i) = NAMES.iter().position(|n| *n == key) {
-                    fields[i] = Some(self.parse_number()?);
-                } else {
-                    self.skip_value()?;
-                }
-                self.skip_ws();
-                match self.bump() {
-                    Some(b',') => continue,
-                    Some(b'}') => break,
-                    other => {
-                        return Err(self.err(format!("expected `,` or `}}`, {}", describe(other))))
-                    }
-                }
-            }
-        }
-        let missing = |name: &str| IoError::Syntax {
-            line: start_line,
-            message: format!("job object is missing field `{name}`"),
+/// Decodes one job object: the one rule set behind instance files,
+/// `qbss serve` session arrivals and `qbss stream` events. Each of
+/// `id`, `release`, `deadline`, `query_load`, `upper_bound` and `exact`
+/// must appear exactly once as a number, the id as an integer in `u32`
+/// range; other keys are ignored. The job is not model-validated here:
+/// instances validate whole, and the streaming engine rejects a
+/// malformed arrival with its typed errors.
+pub fn job_from_value(v: &JsonValue) -> Result<QJob, String> {
+    let JsonValue::Obj(members) = v else {
+        return Err("a job must be a JSON object".into());
+    };
+    let mut fields = [None; 6];
+    for (key, value) in members {
+        let Some(i) = JOB_FIELDS.iter().position(|f| f == key) else {
+            continue;
         };
-        let id = id.ok_or_else(|| missing("id"))?;
-        let mut v = [0.0f64; 5];
-        for (i, name) in NAMES.iter().enumerate() {
-            v[i] = fields[i].ok_or_else(|| missing(name))?;
+        if fields[i].is_some() {
+            return Err(format!("job object repeats field `{key}`"));
         }
-        Ok(QJob::new_unchecked(id, v[0], v[1], v[2], v[3], v[4]))
+        let x = value.as_f64().ok_or_else(|| format!("job field `{key}` must be a number"))?;
+        fields[i] = Some(x);
     }
+    let mut x = [0.0; 6];
+    for ((slot, field), name) in x.iter_mut().zip(fields).zip(JOB_FIELDS) {
+        *slot = field.ok_or_else(|| format!("job object is missing field `{name}`"))?;
+    }
+    let id = x[0];
+    if !(id >= 0.0 && id.fract() == 0.0 && id <= f64::from(u32::MAX)) {
+        return Err(format!("job id must be a non-negative integer, got {id}"));
+    }
+    Ok(QJob::new_unchecked(id as u32, x[1], x[2], x[3], x[4], x[5]))
 }
 
-/// Parses an instance from JSON, then validates it. Model violations
-/// report the line where the offending job starts and its id.
-pub fn from_json(json: &str) -> Result<QbssInstance, IoError> {
-    let mut p = Parser::new(json);
-    let (jobs, job_lines) = p.parse_instance()?;
-    p.skip_ws();
-    if p.peek().is_some() {
-        return Err(p.err("trailing characters after JSON document"));
+/// Walks `{"jobs": [...]}`, decoding each job as soon as it is read and
+/// recording the byte offset where it starts; a job that breaks the
+/// job rules is reported at that offset.
+fn read_jobs(c: &mut JsonCursor<'_>, starts: &mut Vec<usize>) -> Result<Vec<QJob>, JsonError> {
+    let mut jobs = None;
+    c.expect(b'{')?;
+    let mut open = !c.eat(b'}');
+    while open {
+        let key = c.string()?;
+        c.expect(b':')?;
+        if key != "jobs" {
+            c.value()?;
+        } else if jobs.is_some() {
+            return Err(JsonError { pos: c.pos(), message: "duplicate `jobs` key".into() });
+        } else {
+            let mut list = Vec::new();
+            c.expect(b'[')?;
+            let mut more = !c.eat(b']');
+            while more {
+                let pos = c.pos();
+                let job = job_from_value(&c.value()?);
+                list.push(job.map_err(|message| JsonError { pos, message })?);
+                starts.push(pos);
+                more = c.more(b']')?;
+            }
+            jobs = Some(list);
+        }
+        open = c.more(b'}')?;
     }
-    finish(jobs, &job_lines)
+    c.end()?;
+    jobs.ok_or_else(|| JsonError { pos: c.pos(), message: "missing `jobs` array".into() })
+}
+
+/// The 1-based line of byte offset `pos`.
+fn line_at(text: &str, pos: usize) -> usize {
+    1 + text.as_bytes()[..pos.min(text.len())].iter().filter(|&&b| b == b'\n').count()
+}
+
+/// Parses an instance from JSON, then validates it. Syntax errors report
+/// their line; model violations report the line where the offending job
+/// starts and its id.
+pub fn from_json(json: &str) -> Result<QbssInstance, IoError> {
+    let mut starts = Vec::new();
+    let jobs = read_jobs(&mut JsonCursor::new(json), &mut starts)
+        .map_err(|e| IoError::Syntax { line: line_at(json, e.pos), message: e.message })?;
+    finish(jobs, |i| line_at(json, starts[i]))
 }
 
 /// Builds the instance and maps a validation failure back to the source
-/// line of the offending job.
-fn finish(jobs: Vec<QJob>, job_lines: &[usize]) -> Result<QbssInstance, IoError> {
+/// line of the offending job (`line_of` maps a job's index to its line).
+fn finish(jobs: Vec<QJob>, line_of: impl Fn(usize) -> usize) -> Result<QbssInstance, IoError> {
     let inst = QbssInstance::new(jobs);
     if let Err(source) = inst.validate() {
-        let line = inst
-            .jobs
-            .iter()
-            .position(|j| j.id == source.job())
-            .and_then(|i| job_lines.get(i).copied())
-            .unwrap_or(1);
+        let line = inst.jobs.iter().position(|j| j.id == source.job()).map_or(1, line_of);
         return Err(IoError::Model { line, source });
     }
     Ok(inst)
@@ -610,7 +359,7 @@ pub fn from_csv(csv: &str) -> Result<QbssInstance, IoError> {
         jobs.push(job);
         job_lines.push(lineno);
     }
-    finish(jobs, &job_lines)
+    finish(jobs, |i| job_lines[i])
 }
 
 #[cfg(test)]
@@ -644,6 +393,44 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("missing field `release`"));
+        // A missing comma between the jobs on lines 3 and 4 is found at
+        // the second job's `{`, on line 4.
+        let job = |id| {
+            format!(
+                "{{\"id\": {id}, \"release\": 0, \"deadline\": 1, \"query_load\": 0.5, \
+                 \"upper_bound\": 1, \"exact\": 0.5}}"
+            )
+        };
+        let json = format!("{{\"jobs\": [\n  {},\n  {}\n  {}\n]}}", job(0), job(1), job(2));
+        match from_json(&json) {
+            Err(IoError::Syntax { line, message }) => {
+                assert_eq!(line, 4, "{message}");
+                assert!(message.contains("expected `,` or `]`"), "{message}");
+            }
+            other => panic!("expected a syntax error, got {other:?}"),
+        }
+        // A repeated field, a non-integer id and a string where a number
+        // belongs each fail on the line their job starts.
+        for job in [
+            r#"{"id": 1, "release": 0, "release": 0, "deadline": 1, "query_load": 0.5,
+                "upper_bound": 1, "exact": 0.5}"#,
+            r#"{"id": 1.5, "release": 0, "deadline": 1, "query_load": 0.5,
+                "upper_bound": 1, "exact": 0.5}"#,
+            r#"{"id": 1, "release": "0", "deadline": 1, "query_load": 0.5,
+                "upper_bound": 1, "exact": 0.5}"#,
+        ] {
+            let json = format!("{{\"jobs\": [\n{job}\n]}}");
+            match from_json(&json) {
+                Err(IoError::Syntax { line: 2, .. }) => {}
+                other => panic!("expected a syntax error on line 2, got {other:?}"),
+            }
+        }
+        // Nesting far past the reader's depth cap, under an ignored key,
+        // is a syntax error rather than a stack overflow.
+        let json = format!("{{\"jobs\": [], \"x\": {}}}", "[".repeat(20_000));
+        let err = from_json(&json).unwrap_err();
+        assert!(matches!(err, IoError::Syntax { line: 1, .. }), "{err}");
+        assert!(err.to_string().contains("nesting"), "{err}");
     }
 
     #[test]
@@ -661,10 +448,20 @@ mod tests {
     }
 
     #[test]
-    fn json_accepts_nan_tokens_as_model_errors() {
-        let json = r#"{"jobs":[{"id":3,"release":NaN,"deadline":1,"query_load":0.5,"upper_bound":1,"exact":0.5}]}"#;
-        let err = from_json(json).unwrap_err();
-        assert!(err.to_string().contains("non-finite"), "{err}");
+    fn json_rejects_nonfinite_tokens_as_syntax_errors_on_their_line() {
+        for token in ["NaN", "Infinity", "-Infinity", "1e999"] {
+            let json = format!(
+                "{{\"jobs\":[\n{{\"id\":3,\"release\":0,\"deadline\":1,\n\"query_load\":{token},\
+                 \"upper_bound\":1,\"exact\":0.5}}]}}"
+            );
+            match from_json(&json) {
+                Err(IoError::Syntax { line, message }) => {
+                    assert_eq!(line, 3, "{token}: {message}");
+                    assert!(message.contains("expected a finite number"), "{token}: {message}");
+                }
+                other => panic!("{token}: expected a syntax error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -672,10 +469,7 @@ mod tests {
         let inst = generate(&GenConfig::online_default(6, 2));
         let out = qbss_core::online::avrq(&inst);
         let json = outcome_to_json(&out);
-        let mut p = Parser::new(&json);
-        p.skip_value().expect("outcome JSON parses");
-        p.skip_ws();
-        assert_eq!(p.peek(), None, "trailing garbage in {json}");
+        qbss_telemetry::json_parse(&json).expect("outcome JSON parses");
         assert!(json.contains("\"algorithm\": \"AVRQ\""));
         assert!(json.contains("\"slices\""));
     }

@@ -1,8 +1,19 @@
-//! Minimal hand-rolled JSON support shared by the emitters and the
-//! trace reader — the workspace resolves no external registries, so
-//! (de)serialization stays in-tree, as in `qbss_instances::io`.
+//! The workspace's one JSON reader, and the escaper and float writer
+//! every emitter shares — the workspace resolves no external
+//! registries, so (de)serialization stays in-tree.
+//!
+//! Every JSON input goes through this reader: instance files and job
+//! objects (via `qbss_instances::io`), sweep bodies, stream JSONL,
+//! baselines and traces. [`parse`] reads a whole document; [`Cursor`]
+//! lets a caller walk the outer structure itself and read the values
+//! inside it one at a time. The grammar is strict where it matters for
+//! replay: numbers must be finite JSON numbers (no `NaN`/`Infinity`
+//! tokens, no `1e999`), so a reader never hands a non-finite value to
+//! code that compares it. Strings are scanned once (linear time) and
+//! nesting is capped at 128 levels, so no input can make the reader
+//! quadratic or recurse it off its thread's stack.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// Escapes a string for embedding inside a JSON string literal.
 pub fn json_escape(s: &str) -> String {
@@ -112,16 +123,95 @@ impl JsonValue {
     }
 }
 
+/// How deeply arrays and objects may nest below the value being read.
+/// The reader recurses once per level, so the cap keeps any input from
+/// overflowing a thread's stack; the deepest committed JSON file nests
+/// 6 levels.
+const MAX_DEPTH: usize = 128;
+
+/// A syntax error and the byte offset of the input it refers to (the
+/// end of the input, for truncated documents).
+#[derive(Debug, Clone, PartialEq)]
+pub struct JsonError {
+    /// Byte offset of the offending input.
+    pub pos: usize,
+    /// What went wrong.
+    pub message: String,
+}
+
+impl fmt::Display for JsonError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} at byte {}", self.message, self.pos)
+    }
+}
+
+fn err(pos: usize, message: impl Into<String>) -> JsonError {
+    JsonError { pos, message: message.into() }
+}
+
 /// Parses one JSON document, rejecting trailing garbage.
 pub fn parse(input: &str) -> Result<JsonValue, String> {
-    let bytes = input.as_bytes();
-    let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
+    let mut c = Cursor::new(input);
+    c.value().and_then(|v| c.end().map(|()| v)).map_err(|e| e.to_string())
+}
+
+/// A read position in one JSON document, for callers that walk its
+/// outer structure themselves and read the values inside it whole:
+/// `qbss_instances::io` decodes `{"jobs": [...]}` one job at a time
+/// this way instead of building the whole tree first. Every method
+/// skips leading whitespace, and an error leaves the cursor on the
+/// offending byte.
+pub struct Cursor<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// A cursor at the start of `input`.
+    pub fn new(input: &'a str) -> Self {
+        Self { bytes: input.as_bytes(), pos: 0 }
     }
-    Ok(value)
+
+    /// The byte offset of the next token.
+    pub fn pos(&mut self) -> usize {
+        skip_ws(self.bytes, &mut self.pos);
+        self.pos
+    }
+
+    /// Consumes `c` if it comes next.
+    pub fn eat(&mut self, c: u8) -> bool {
+        eat(self.bytes, &mut self.pos, c)
+    }
+
+    /// Consumes `c`, or fails.
+    pub fn expect(&mut self, c: u8) -> Result<(), JsonError> {
+        expect(self.bytes, &mut self.pos, c)
+    }
+
+    /// After an item of an array or object closed by `close`: consumes
+    /// `,` and answers true, or consumes `close` and answers false.
+    pub fn more(&mut self, close: u8) -> Result<bool, JsonError> {
+        more(self.bytes, &mut self.pos, close)
+    }
+
+    /// Reads a string.
+    pub fn string(&mut self) -> Result<String, JsonError> {
+        parse_string(self.bytes, &mut self.pos)
+    }
+
+    /// Reads one value, nested at most 128 levels deep.
+    pub fn value(&mut self) -> Result<JsonValue, JsonError> {
+        parse_value(self.bytes, &mut self.pos, 0)
+    }
+
+    /// Fails unless only whitespace is left.
+    pub fn end(&mut self) -> Result<(), JsonError> {
+        if self.pos() == self.bytes.len() {
+            Ok(())
+        } else {
+            Err(err(self.pos, "trailing data"))
+        }
+    }
 }
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
@@ -130,21 +220,41 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
+fn eat(b: &[u8], pos: &mut usize, c: u8) -> bool {
+    skip_ws(b, pos);
+    let hit = b.get(*pos) == Some(&c);
+    *pos += usize::from(hit);
+    hit
+}
+
+fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), JsonError> {
+    if eat(b, pos, c) {
         Ok(())
     } else {
-        Err(format!("expected `{}` at byte {}", c as char, *pos))
+        Err(err(*pos, format!("expected `{}`", c as char)))
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn more(b: &[u8], pos: &mut usize, close: u8) -> Result<bool, JsonError> {
+    if eat(b, pos, b',') {
+        Ok(true)
+    } else if eat(b, pos, close) {
+        Ok(false)
+    } else {
+        Err(err(*pos, format!("expected `,` or `{}`", close as char)))
+    }
+}
+
+/// Reads a value whose enclosing arrays and objects are `depth` deep.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, JsonError> {
     skip_ws(b, pos);
     match b.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        None => Err(err(*pos, "unexpected end of input")),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(err(*pos, format!("nesting deeper than {MAX_DEPTH} levels")))
+        }
+        Some(b'{') => parse_object(b, pos, depth + 1),
+        Some(b'[') => parse_array(b, pos, depth + 1),
         Some(b'"') => Ok(JsonValue::Str(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", JsonValue::Bool(false)),
@@ -153,16 +263,18 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: JsonValue) -> Result<JsonValue, String> {
+fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: JsonValue) -> Result<JsonValue, JsonError> {
     if b[*pos..].starts_with(lit.as_bytes()) {
         *pos += lit.len();
         Ok(v)
     } else {
-        Err(format!("bad literal at byte {}", *pos))
+        Err(err(*pos, "bad literal"))
     }
 }
 
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Reads a finite number; JSON has no `NaN` or `Infinity`, and a
+/// literal too large for an `f64` (`1e999`) is rejected, not rounded.
+fn parse_number(b: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
     let start = *pos;
     while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
         *pos += 1;
@@ -172,20 +284,29 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         .and_then(|s| s.parse::<f64>().ok())
         .filter(|n| n.is_finite())
         .map(JsonValue::Num)
-        .ok_or_else(|| format!("bad number at byte {start}"))
+        .ok_or_else(|| err(start, "expected a finite number"))
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     expect(b, pos, b'"')?;
     let mut out = String::new();
     loop {
+        // Copy the run up to the next quote or backslash in one step.
+        // Both are ASCII, so a run of UTF-8 input ends on a char
+        // boundary, and every byte is scanned once.
+        let start = *pos;
+        while *pos < b.len() && !matches!(b[*pos], b'"' | b'\\') {
+            *pos += 1;
+        }
+        let run = std::str::from_utf8(&b[start..*pos]);
+        out.push_str(run.map_err(|_| err(start, "invalid UTF-8 in string"))?);
         match b.get(*pos) {
-            None => return Err("unterminated string".to_string()),
+            None => return Err(err(*pos, "unterminated string")),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
                 *pos += 1;
                 match b.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -197,79 +318,52 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
+                        // Exactly four hex digits: `from_str_radix` alone
+                        // would also take a sign.
                         let hex = b
                             .get(*pos + 1..*pos + 5)
+                            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                             .and_then(|h| std::str::from_utf8(h).ok())
                             .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or_else(|| format!("bad \\u escape at byte {}", *pos))?;
+                            .ok_or_else(|| err(*pos, "bad \\u escape"))?;
                         // Surrogates degrade to the replacement char —
                         // our emitters never produce them.
                         out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
                         *pos += 4;
                     }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
+                    _ => return Err(err(*pos, "bad escape")),
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest = std::str::from_utf8(&b[*pos..])
-                    .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
         }
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, JsonError> {
     expect(b, pos, b'{')?;
-    let mut fields = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(JsonValue::Obj(fields));
-    }
-    loop {
-        skip_ws(b, pos);
+    // Most objects are small records (a job has six fields): room for
+    // eight up front spares a decode the 0 → 4 → 8 growth steps, one
+    // extra allocation and copy per object.
+    let mut fields = Vec::with_capacity(8);
+    let mut open = !eat(b, pos, b'}');
+    while open {
         let key = parse_string(b, pos)?;
-        skip_ws(b, pos);
         expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
-        fields.push((key, value));
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(JsonValue::Obj(fields));
-            }
-            _ => return Err(format!("expected `,` or `}}` at byte {}", *pos)),
-        }
+        fields.push((key, parse_value(b, pos, depth)?));
+        open = more(b, pos, b'}')?;
     }
+    Ok(JsonValue::Obj(fields))
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, JsonError> {
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(JsonValue::Arr(items));
+    let mut open = !eat(b, pos, b']');
+    while open {
+        items.push(parse_value(b, pos, depth)?);
+        open = more(b, pos, b']')?;
     }
-    loop {
-        items.push(parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(JsonValue::Arr(items));
-            }
-            _ => return Err(format!("expected `,` or `]` at byte {}", *pos)),
-        }
-    }
+    Ok(JsonValue::Arr(items))
 }
 
 #[cfg(test)]
@@ -299,9 +393,56 @@ mod tests {
 
     #[test]
     fn rejects_garbage() {
-        for bad in ["", "{", "{\"a\" 1}", "[1,]", "{\"a\": 1} x", "nul", "1e999"] {
+        for bad in [
+            "", "{", "{\"a\" 1}", "[1,]", "{\"a\": 1} x", "nul", "1e999", "NaN", "-Infinity",
+            "\"\\u+041\"", "\"\\u04\"",
+        ] {
             assert!(parse(bad).is_err(), "{bad}");
         }
+        assert_eq!(parse("\"\\u0041\"").expect("four hex digits"), JsonValue::Str("A".into()));
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let too_deep = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(too_deep.contains("nesting deeper than 128 levels"), "{too_deep}");
+        // Far past the cap, on a thread whose stack the uncapped reader
+        // overflowed: a syntax error, not an abort.
+        let body = "[".repeat(20_000);
+        let result = std::thread::spawn(move || parse(&body)).join().expect("no overflow");
+        assert!(result.is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let doc = format!("{{\"s\": \"{}\\n\"}}", "x".repeat(1 << 20));
+        let started = std::time::Instant::now();
+        let v = parse(&doc).expect("parse");
+        let elapsed = started.elapsed();
+        assert_eq!(v.get("s").and_then(JsonValue::as_str).map(str::len), Some((1 << 20) + 1));
+        assert!(elapsed.as_secs_f64() < 1.0, "1 MiB string took {elapsed:?}");
+    }
+
+    #[test]
+    fn cursor_reads_values_one_by_one_and_locates_errors() {
+        let mut c = Cursor::new("[{\"a\": 1},\n {\"a\": 2}] ");
+        c.expect(b'[').expect("open");
+        let mut items = Vec::new();
+        let mut open = !c.eat(b']');
+        while open {
+            items.push(c.value().expect("item"));
+            open = c.more(b']').expect("separator");
+        }
+        c.end().expect("only whitespace left");
+        assert_eq!(items.len(), 2);
+        let mut c = Cursor::new("[1\n 2]");
+        c.expect(b'[').expect("open");
+        c.value().expect("item");
+        let e = c.more(b']').unwrap_err();
+        assert_eq!((e.pos, e.message.as_str()), (4, "expected `,` or `]`"));
+        assert_eq!(e.to_string(), "expected `,` or `]` at byte 4");
     }
 
     #[test]

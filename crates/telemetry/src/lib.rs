@@ -58,7 +58,10 @@ use std::time::{Duration, Instant};
 use sink::Out;
 
 pub use filter::{target_matches, Filter, FilterError, Level};
-pub use json::{json_escape, json_f64, parse as json_parse, render as json_render, JsonValue};
+pub use json::{
+    json_escape, json_f64, parse as json_parse, render as json_render, Cursor as JsonCursor,
+    JsonError, JsonValue,
+};
 pub use metrics::{estimate_quantile, Counter, Gauge, Histogram, Registry, DURATION_US_BOUNDS};
 pub use sink::{RingSink, SinkTarget, RING_DEFAULT_CAPACITY};
 pub use span::{current_span_id, SpanGuard};
