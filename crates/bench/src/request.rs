@@ -13,7 +13,7 @@
 
 use std::fmt;
 
-use qbss_core::pipeline::{Algorithm, DEFAULT_FW_ITERS, DEFAULT_MACHINES};
+use qbss_core::pipeline::{Algorithm, ParseAlgorithmError, DEFAULT_FW_ITERS, DEFAULT_MACHINES};
 use qbss_instances::gen::{Compressibility, GenConfig, QueryModel, TimeModel};
 use qbss_telemetry::{json_parse, JsonValue};
 
@@ -61,13 +61,41 @@ const KNOWN_KEYS: &[&str] = &[
     "opt_fw_iters",
 ];
 
+/// At most this many characters of a request's own text are quoted
+/// back in an error, so a reply stays small whatever the body holds.
+const EXCERPT_CHARS: usize = 32;
+
+/// `s`, cut after [`EXCERPT_CHARS`] characters (with its full length)
+/// when longer.
+fn excerpt(s: &str) -> String {
+    match s.char_indices().nth(EXCERPT_CHARS) {
+        None => s.to_string(),
+        Some((cut, _)) => format!("{}… ({} bytes)", &s[..cut], s.len()),
+    }
+}
+
+/// Names a JSON value's type for an error, quoting at most an excerpt.
+fn describe(v: &JsonValue) -> String {
+    match v {
+        JsonValue::Null => "null".to_string(),
+        JsonValue::Bool(b) => format!("the boolean {b}"),
+        JsonValue::Num(n) => format!("the number {n}"),
+        JsonValue::Str(s) => format!("the string \"{}\"", excerpt(s)),
+        JsonValue::Arr(items) => format!("an array of {} items", items.len()),
+        JsonValue::Obj(fields) => format!("an object of {} fields", fields.len()),
+    }
+}
+
 fn get_u64(obj: &JsonValue, key: &str, default: u64) -> Result<u64, RequestError> {
     match obj.get(key) {
         None => Ok(default),
         Some(JsonValue::Num(v)) if *v >= 0.0 && v.fract() == 0.0 && *v <= 2f64.powi(53) => {
             Ok(*v as u64)
         }
-        Some(other) => Err(spec_err(format!("`{key}` must be a non-negative integer, got {other:?}"))),
+        Some(other) => Err(spec_err(format!(
+            "`{key}` must be a non-negative integer, got {}",
+            describe(other)
+        ))),
     }
 }
 
@@ -80,7 +108,7 @@ fn get_str<'a>(obj: &'a JsonValue, key: &str, default: &'a str) -> Result<&'a st
     match obj.get(key) {
         None => Ok(default),
         Some(JsonValue::Str(s)) => Ok(s),
-        Some(other) => Err(spec_err(format!("`{key}` must be a string, got {other:?}"))),
+        Some(other) => Err(spec_err(format!("`{key}` must be a string, got {}", describe(other)))),
     }
 }
 
@@ -88,7 +116,7 @@ fn alpha_of(v: &JsonValue) -> Result<f64, RequestError> {
     match v {
         JsonValue::Num(a) if a.is_finite() && *a > 1.0 => Ok(*a),
         JsonValue::Num(a) => Err(spec_err(format!("`alpha` must be finite and exceed 1, got {a}"))),
-        other => Err(spec_err(format!("`alpha` entries must be numbers, got {other:?}"))),
+        other => Err(spec_err(format!("`alpha` entries must be numbers, got {}", describe(other)))),
     }
 }
 
@@ -96,7 +124,9 @@ fn algorithm_of(token: &str, m: usize, fw_iters: usize) -> Result<Vec<Algorithm>
     if token.trim() == "all" {
         return Ok(Algorithm::all(m, fw_iters));
     }
-    let alg: Algorithm = token.parse().map_err(|e| spec_err(format!("{e}")))?;
+    let alg: Algorithm = token
+        .parse()
+        .map_err(|_| spec_err(ParseAlgorithmError { input: excerpt(token) }.to_string()))?;
     // A bare family name takes the request-level machine count, the
     // same binding rule the CLI's `--alg` list applies.
     Ok(vec![if token.contains(':') { alg } else { alg.with_machines(m) }])
@@ -115,7 +145,8 @@ impl SweepRequest {
         for (key, _) in fields {
             if !KNOWN_KEYS.contains(&key.as_str()) {
                 return Err(spec_err(format!(
-                    "unknown key `{key}` (one of: {})",
+                    "unknown key `{}` (one of: {})",
+                    excerpt(key),
                     KNOWN_KEYS.join(", ")
                 )));
             }
@@ -126,12 +157,14 @@ impl SweepRequest {
         let seed = get_u64(&root, "seed", 0)?;
         let family = get_str(&root, "family", "common")?;
         let time = TimeModel::from_name(family, n).ok_or_else(|| {
-            spec_err(format!("unknown family `{family}` (one of: {})", TimeModel::NAMES.join(", ")))
+            let names = TimeModel::NAMES.join(", ");
+            spec_err(format!("unknown family `{}` (one of: {names})", excerpt(family)))
         })?;
         let compress_name = get_str(&root, "compress", "uniform")?;
         let compress = Compressibility::from_name(compress_name).ok_or_else(|| {
             spec_err(format!(
-                "unknown compressibility `{compress_name}` (one of: {})",
+                "unknown compressibility `{}` (one of: {})",
+                excerpt(compress_name),
                 Compressibility::NAMES.join(", ")
             ))
         })?;
@@ -162,7 +195,8 @@ impl SweepRequest {
             }
             Some(other) => {
                 return Err(spec_err(format!(
-                    "`alg` must be a string or array of strings, got {other:?}"
+                    "`alg` must be a string or array of strings, got {}",
+                    describe(other)
                 )))
             }
         };
@@ -175,7 +209,8 @@ impl SweepRequest {
             }
             Some(other) => {
                 return Err(spec_err(format!(
-                    "`alpha` must be a number or array of numbers, got {other:?}"
+                    "`alpha` must be a number or array of numbers, got {}",
+                    describe(other)
                 )))
             }
         };
@@ -290,6 +325,36 @@ mod tests {
                 "{bad}"
             );
         }
+    }
+
+    #[test]
+    fn spec_errors_quote_at_most_an_excerpt() {
+        let long = "a".repeat(200_000);
+        for body in [
+            format!(r#"{{"n": "{long}"}}"#),
+            format!(r#"{{"family": ["{long}"]}}"#),
+            format!(r#"{{"family": "{long}"}}"#),
+            format!(r#"{{"compress": "{long}"}}"#),
+            format!(r#"{{"alg": "{long}"}}"#),
+            format!(r#"{{"alg": ["{long}"]}}"#),
+            format!(r#"{{"alg": {{"{long}": 1}}}}"#),
+            format!(r#"{{"alpha": "{long}"}}"#),
+            format!(r#"{{"alpha": [2, "{long}"]}}"#),
+            format!(r#"{{"{long}": 1}}"#),
+        ] {
+            let Err(RequestError::Spec(msg)) = SweepRequest::from_json(&body) else {
+                panic!("{}: not a spec error", &body[..20]);
+            };
+            assert!(msg.len() < 300, "{} bytes: {}", msg.len(), excerpt(&msg));
+        }
+        let body = format!(r#"{{"n": "{long}"}}"#);
+        let Err(RequestError::Spec(msg)) = SweepRequest::from_json(&body) else {
+            panic!("not a spec error");
+        };
+        let a32 = "a".repeat(32);
+        let want =
+            format!("`n` must be a non-negative integer, got the string \"{a32}… (200000 bytes)\"");
+        assert_eq!(msg, want);
     }
 
     #[test]

@@ -561,6 +561,23 @@ fn stream_matches_run_bitwise_over_the_binary() {
 }
 
 #[test]
+fn stream_rejects_numbers_json_forbids_naming_the_line() {
+    // `+0`, `4.`, `.5` and `03` are not JSON numbers: the event on line 2
+    // is bad input (exit 2), not a job.
+    let ev = tmp("forbidden_numbers.jsonl");
+    let good = "{\"type\": \"arrive\", \"id\": 0, \"release\": 0, \"deadline\": 4, \
+                \"query_load\": 0.5, \"upper_bound\": 3, \"exact\": 1}";
+    let bad = "{\"type\": \"arrive\", \"id\": 1, \"release\": +0, \"deadline\": 4., \
+               \"query_load\": .5, \"upper_bound\": 03, \"exact\": 1}";
+    std::fs::write(&ev, format!("{good}\n{bad}\n")).expect("events file");
+    let out = qbss(&["stream", "--alg", "oaq", "--in"]).arg(&ev).output().expect("runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("line 2"), "{stderr}");
+    assert!(stderr.contains("expected a finite number"), "{stderr}");
+}
+
+#[test]
 fn stream_reads_events_from_stdin() {
     use std::io::Write;
     use std::process::Stdio;

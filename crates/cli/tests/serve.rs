@@ -331,6 +331,17 @@ fn work_counters_surface_in_the_metrics_exposition() {
     );
     assert_eq!(status, 200, "{body}");
 
+    // A multi-machine sweep on staggered windows certifies OPT with
+    // Frank–Wolfe steps that reach the line search (`fw.line_evals`);
+    // the two-job evaluate above converges before it.
+    let (status, _, body) = http(
+        &addr,
+        "POST",
+        "/sweep",
+        r#"{"count": 1, "n": 8, "family": "online", "alg": "avrq-m", "m": 2, "alpha": 3}"#,
+    );
+    assert_eq!(status, 200, "{body}");
+
     // A streaming session drives the incremental engine (`solver.*`).
     let (status, _, body) = http(&addr, "POST", "/session?alg=avrq&alpha=3", "");
     assert_eq!(status, 200, "{body}");
@@ -363,6 +374,30 @@ fn work_counters_surface_in_the_metrics_exposition() {
         assert!(value > 0, "work counter `{name}` never fired ({pname} = 0)");
     }
 
+    sigterm(&child);
+    assert_eq!(wait_exit(child), Some(0));
+}
+
+/// A 422 names the offending value's JSON type and quotes at most a
+/// short excerpt of it, so a 200,000-byte value gets a small reply.
+#[test]
+fn sweep_spec_errors_stay_small_whatever_the_value() {
+    let (child, addr) = start_server(&[]);
+    wait_ready(&addr);
+    let long = "a".repeat(200_000);
+    for body in [
+        format!(r#"{{"n": "{long}"}}"#),
+        format!(r#"{{"family": "{long}"}}"#),
+        format!(r#"{{"alg": "{long}"}}"#),
+        format!(r#"{{"alg": {{"{long}": 1}}}}"#),
+        format!(r#"{{"alpha": ["{long}"]}}"#),
+        format!(r#"{{"{long}": 1}}"#),
+    ] {
+        let (status, _, reply) = http(&addr, "POST", "/sweep", &body);
+        assert_eq!(status, 422, "{}", &reply[..reply.len().min(200)]);
+        assert!(reply.len() < 1024, "{}-byte 422 for {}…", reply.len(), &body[..12]);
+        assert!(reply.contains("\"kind\": \"spec\""), "{reply}");
+    }
     sigterm(&child);
     assert_eq!(wait_exit(child), Some(0));
 }

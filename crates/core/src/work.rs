@@ -38,6 +38,10 @@ pub const WORK_COUNTERS: &[WorkCounter] = &[
         "elementary grid segment materialized when an AVR profile is built",
     ),
     (
+        "bkp.deadline_steps",
+        "deadline-sorted entry passed by a BKP running work sum, in a query or in prefix upkeep",
+    ),
+    (
         "bkp.intensity_queries",
         "max-intensity query e(t) answered for one probe time",
     ),
@@ -76,6 +80,10 @@ pub const WORK_COUNTERS: &[WorkCounter] = &[
     (
         "fw.iterations",
         "completed Frank-Wolfe iteration (LMO + line search)",
+    ),
+    (
+        "fw.line_evals",
+        "per-interval energy evaluation inside one Frank-Wolfe line search",
     ),
     (
         "oa.hull_pops",

@@ -50,7 +50,8 @@ impl BkpResult {
 pub fn bkp_intensity_at(instance: &Instance, t: f64) -> f64 {
     // Candidate t1: release times (strictly below t); candidate t2:
     // deadlines (at or above t). Only jobs arrived by t count; the sweep
-    // itself lives in `stream::intensity_over` (O(k²) per query).
+    // itself is `stream::intensity_over`, one sort and one running sum per
+    // release below t, O(k log k + r·k) for k arrived jobs and r releases.
     let arrived: Vec<crate::job::Job> =
         instance.jobs.iter().copied().filter(|j| j.release <= t + EPS).collect();
     intensity_over(&arrived, t)

@@ -1,8 +1,14 @@
 //! Differential tests: [`edf_schedule`] and [`Schedule::check`] against
-//! the quadratic versions they replaced, and [`yds_profile`] against the
-//! full rescan it replaced, on seeded instances shaped like each
-//! generator family. Each pair must agree bit for bit: the same slices,
-//! the same deadline miss, the same first violation, the same profile.
+//! the quadratic versions they replaced, [`yds_profile`] against the
+//! full rescan it replaced, [`BkpStream`] against a re-sort and full
+//! sweep per query, and [`multi_opt_frank_wolfe`] against the dense
+//! solver, on seeded instances shaped like each generator family. Each
+//! pair must agree bit for bit: the same slices, the same deadline miss,
+//! the same first violation, the same profile, the same certificate.
+//!
+//! The tests named `*_at_scale` repeat the BKP and Frank–Wolfe checks on
+//! larger instances; they are `#[ignore]`d, for a release build:
+//! `cargo test --release -p speed-scaling --lib differential -- --ignored`.
 
 use std::collections::BTreeSet;
 
@@ -14,9 +20,12 @@ use crate::bkp::bkp_profile;
 use crate::edf::{edf_schedule, reference_edf_schedule, EdfInfeasible, EdfTask};
 use crate::job::{Instance, Job};
 use crate::multi::avr_m::avr_m;
+use crate::multi::multi_opt_frank_wolfe;
+use crate::multi::opt::{reference, FwSolution};
 use crate::oa::oa_profile;
 use crate::profile::SpeedProfile;
 use crate::schedule::{Schedule, ScheduleError, Slice, WorkRequirement};
+use crate::stream::{release_ordered, BkpStream};
 use crate::time::EPS;
 use crate::yds::{reference_yds_profile, verify_optimality_certificate, yds, yds_profile};
 
@@ -400,4 +409,127 @@ fn yds_matches_the_reference_bit_for_bit_on_split_jobs() {
 fn yds_matches_the_reference_bit_for_bit_and_certifies_on_whole_jobs() {
     let certified = yds_against_the_reference(false);
     assert_eq!(certified, 7 * YDS_SIZES.len() * YDS_SEEDS as usize);
+}
+
+/// Feeds `inst` in arrival order into a [`BkpStream`] and holds every
+/// query to the reference, bit for bit: the speed at each arrival's
+/// release just before and just after it joins, at two earlier times
+/// and at an arrived job's deadline, and the finished profile.
+fn bkp_against_the_reference(inst: &Instance, label: &str) {
+    let jobs = release_ordered(inst);
+    let mut stream = BkpStream::new();
+    let same = |s: &BkpStream, t: f64, what: &str| {
+        let (fast, slow) = (s.speed_after(t), s.reference_speed_after(t));
+        assert_eq!(fast.to_bits(), slow.to_bits(), "{label}: {what} at t = {t}");
+    };
+    for (i, job) in jobs.iter().enumerate() {
+        same(&stream, job.release, &format!("before arrival {i}"));
+        stream.on_arrival(*job);
+        same(&stream, job.release, &format!("after arrival {i}"));
+        let earlier = jobs[i / 2];
+        same(&stream, earlier.release, &format!("arrival {}'s release after {i}", i / 2));
+        same(&stream, 0.5 * (earlier.release + job.release), &format!("midway after {i}"));
+        same(&stream, job.release - 1.0, &format!("before arrival {i}'s release"));
+        same(&stream, earlier.deadline, &format!("arrival {}'s deadline after {i}", i / 2));
+    }
+    let (fast, slow) = (stream.finish(), stream.reference_finish());
+    assert_eq!(profile_bits(&fast), profile_bits(&slow), "{label}: profile");
+}
+
+fn bkp_suite(sizes: &[usize], seeds: u64) {
+    for family in YDS_FAMILIES {
+        for &n in sizes {
+            for seed in 0..seeds {
+                for split in [true, false] {
+                    let inst = instance(family, n, 1000 * n as u64 + seed, split);
+                    let label = format!("{family:?} n={n} seed={seed} split={split}");
+                    bkp_against_the_reference(&inst, &label);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn bkp_stream_matches_the_reference_bit_for_bit() {
+    bkp_suite(&[1, 2, 5, 12, 30, 60], 4);
+}
+
+#[test]
+#[ignore = "release-mode scale check"]
+fn bkp_stream_matches_the_reference_bit_for_bit_at_scale() {
+    bkp_suite(&[120, 250, 400], 2);
+}
+
+#[test]
+fn bkp_stream_matches_the_reference_on_a_creeping_feed() {
+    // Each release is less than EPS below the previous one, as the
+    // feeding check allows, but the last lands more than 2·EPS below the
+    // second: its short window ends before a deadline the stream summed
+    // at the second arrival, so the sums must start over.
+    let e = EPS;
+    let jobs = [
+        Job::new(0, 0.0, 10.0 - 1.2 * e, 1.0),
+        Job::new(1, 10.0, 12.0, 2.0),
+        Job::new(2, 10.0 - 0.9 * e, 11.0, 1.5),
+        Job::new(3, 10.0 - 1.8 * e, 13.0, 0.5),
+        Job::new(4, 10.0 - 2.7 * e, 10.0 - 1.65 * e, 0.25),
+        Job::new(5, 10.0 - 2.7 * e, 14.0, 1.0),
+    ];
+    let mut stream = BkpStream::new();
+    for job in jobs {
+        stream.on_arrival(job);
+        for t in [job.release, 10.0 - 1.0 * e, 10.5, 11.5] {
+            assert_eq!(stream.speed_after(t).to_bits(), stream.reference_speed_after(t).to_bits());
+        }
+    }
+    assert_eq!(profile_bits(&stream.finish()), profile_bits(&stream.reference_finish()));
+}
+
+type FwBits = (u64, u64, usize, Vec<(u64, u64)>, Vec<Vec<u64>>);
+
+fn fw_bits(fw: &FwSolution) -> FwBits {
+    (
+        fw.energy.to_bits(),
+        fw.gap.to_bits(),
+        fw.iterations,
+        fw.intervals.iter().map(|&(a, b)| (a.to_bits(), b.to_bits())).collect(),
+        fw.placement.iter().map(|row| row.iter().map(|x| x.to_bits()).collect()).collect(),
+    )
+}
+
+/// The sparse solver against the dense reference on the eight families,
+/// split and unsplit, for every `m`, `α` and iteration budget given.
+fn fw_suite(sizes: &[usize], seeds: u64, iters: &[usize]) {
+    for family in YDS_FAMILIES {
+        for &n in sizes {
+            for seed in 0..seeds {
+                for split in [true, false] {
+                    let inst = instance(family, n, 1000 * n as u64 + seed, split);
+                    for m in [1, 2, 3, 5] {
+                        for alpha in [2.0, 2.5, 3.0] {
+                            for &it in iters {
+                                let fast = multi_opt_frank_wolfe(&inst, m, alpha, it);
+                                let slow = reference::multi_opt_frank_wolfe(&inst, m, alpha, it);
+                                let label = format!("{family:?} n={n} seed={seed} split={split}");
+                                let setting = format!("m={m} α={alpha} iters={it}");
+                                assert_eq!(fw_bits(&fast), fw_bits(&slow), "{label} {setting}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn frank_wolfe_matches_the_dense_reference_bit_for_bit() {
+    fw_suite(&[1, 3, 6], 1, &[1, 8, 40]);
+}
+
+#[test]
+#[ignore = "release-mode scale check"]
+fn frank_wolfe_matches_the_dense_reference_bit_for_bit_at_scale() {
+    fw_suite(&[24, 48], 1, &[1, 8, 40]);
 }

@@ -26,8 +26,14 @@
 //! gap `⟨∇E(x), x − s⟩` is a certified bound on the suboptimality —
 //! `energy − gap` is a true **lower bound on OPT**, which is what the
 //! AVRQ(m) experiments need (DESIGN.md §5).
+//!
+//! Only the `(j, k)` pairs with interval `k` inside job `j`'s window can
+//! hold work, so the solver stores one entry per such pair (`P` in all)
+//! rather than the dense intervals × jobs matrix: an energy evaluation
+//! or a gradient pass costs `O(P log P)`, and the line search's 51
+//! evaluations per iteration reuse one set of per-interval buffers.
 
-use crate::job::Instance;
+use crate::job::{Instance, Job};
 use crate::time::{dedup_times, EPS};
 
 /// Output of [`multi_opt_frank_wolfe`].
@@ -61,24 +67,31 @@ impl FwSolution {
 /// their work at a common speed). Public because the OA(m) realization
 /// reuses it to turn planned per-interval works into explicit slices.
 pub fn water_filling_times(works: &[f64], len: f64, m: usize) -> Vec<f64> {
-    let n = works.len();
-    let mut t = vec![0.0; n];
-    let active: Vec<usize> =
-        (0..n).filter(|&j| works[j] > 0.0).collect();
-    if active.len() <= m {
-        for &j in &active {
+    let (mut t, mut order) = (Vec::new(), Vec::new());
+    water_fill(works, len, m, &mut t, &mut order);
+    t
+}
+
+/// [`water_filling_times`] into `t`, with `order` as scratch for the
+/// positions of the positive works, heaviest first.
+fn water_fill(works: &[f64], len: f64, m: usize, t: &mut Vec<f64>, order: &mut Vec<usize>) {
+    t.clear();
+    t.resize(works.len(), 0.0);
+    order.clear();
+    order.extend((0..works.len()).filter(|&j| works[j] > 0.0));
+    if order.len() <= m {
+        for &j in order.iter() {
             t[j] = len;
         }
-        return t;
+        return;
     }
     // Sort active jobs by work, descending; peel off "big" jobs that
     // deserve a dedicated machine (t = len), then the rest share.
-    let mut order = active.clone();
-    order.sort_by(|&a, &b| works[b].partial_cmp(&works[a]).expect("finite"));
+    order.sort_by(|&a, &b| works[b].total_cmp(&works[a]));
     let total: f64 = order.iter().map(|&j| works[j]).sum();
     let mut rest = total;
     let mut big = 0usize;
-    for &j in &order {
+    for &j in order.iter() {
         let machines_left = m - big;
         // j is big iff giving it t = len still leaves the others at
         // t_i = c·x_i ≤ len with c = (m − big − 1)·len / rest':
@@ -99,51 +112,173 @@ pub fn water_filling_times(works: &[f64], len: f64, m: usize) -> Vec<f64> {
     for &j in &order[big..] {
         t[j] = (c * works[j]).min(len);
     }
-    t
 }
 
-/// Energy of the inner optimum for one interval.
-fn inner_energy(works: &[f64], len: f64, m: usize, alpha: f64) -> f64 {
-    let t = water_filling_times(works, len, m);
-    works
-        .iter()
-        .zip(&t)
-        .filter(|(&x, _)| x > 0.0)
-        .map(|(&x, &tj)| x.powf(alpha) * tj.powf(1.0 - alpha))
-        .sum()
+/// One interval's inner problem on reused buffers: the works of the
+/// jobs whose window covers it, in job order, and what water-filling
+/// derives from them.
+#[derive(Debug, Default)]
+struct Inner {
+    /// The interval's works, in job order.
+    works: Vec<f64>,
+    /// Their water-filling run times.
+    times: Vec<f64>,
+    /// Scratch for [`water_fill`].
+    order: Vec<usize>,
+    /// The energy gradient at each work.
+    grads: Vec<f64>,
 }
 
-/// Gradient `∂E_k/∂x_j = α (x_j/t_j)^{α−1}` at the inner optimum
-/// (envelope theorem); for `x_j = 0` the one-sided derivative is 0 when
-/// a machine is free in the interval and `α·(1/c)^{α−1}` otherwise —
-/// we return the correct marginal cost of adding infinitesimal work.
-fn inner_gradient(works: &[f64], len: f64, m: usize, alpha: f64) -> Vec<f64> {
-    let t = water_filling_times(works, len, m);
-    let active = works.iter().filter(|&&x| x > 0.0).count();
-    // Marginal speed for a newcomer: 0 if a machine is idle, else the
-    // shared small-job speed 1/c (the cheapest room in the interval).
-    let newcomer = if active < m {
-        0.0
-    } else {
-        // Shared speed = x/t of any small job; if all active are big
-        // (t = len), the newcomer would displace capacity at the
-        // smallest big speed.
-        let mut shared = f64::INFINITY;
-        for (j, &x) in works.iter().enumerate() {
-            if x > 0.0 {
-                shared = shared.min(x / t[j]);
+impl Inner {
+    fn water_fill(&mut self, len: f64, m: usize) {
+        water_fill(&self.works, len, m, &mut self.times, &mut self.order);
+    }
+
+    /// Energy of the inner optimum for the interval.
+    fn energy(&mut self, len: f64, m: usize, alpha: f64) -> f64 {
+        self.water_fill(len, m);
+        self.works
+            .iter()
+            .zip(&self.times)
+            .filter(|(&x, _)| x > 0.0)
+            .map(|(&x, &tj)| x.powf(alpha) * tj.powf(1.0 - alpha))
+            .sum()
+    }
+
+    /// Fills `grads` with `∂E_k/∂x_j = α (x_j/t_j)^{α−1}` at the inner
+    /// optimum (envelope theorem); for `x_j = 0` the one-sided
+    /// derivative is 0 when a machine is free in the interval and
+    /// `α·(1/c)^{α−1}` otherwise — the correct marginal cost of adding
+    /// infinitesimal work.
+    fn gradient(&mut self, len: f64, m: usize, alpha: f64) {
+        self.water_fill(len, m);
+        let (works, t) = (&self.works, &self.times);
+        let active = works.iter().filter(|&&x| x > 0.0).count();
+        // Marginal speed for a newcomer: 0 if a machine is idle, else the
+        // shared small-job speed 1/c (the cheapest room in the interval).
+        let newcomer = if active < m {
+            0.0
+        } else {
+            // Shared speed = x/t of any small job; if all active are big
+            // (t = len), the newcomer would displace capacity at the
+            // smallest big speed.
+            let mut shared = f64::INFINITY;
+            for (j, &x) in works.iter().enumerate() {
+                if x > 0.0 {
+                    shared = shared.min(x / t[j]);
+                }
             }
-        }
-        shared
-    };
-    works
-        .iter()
-        .enumerate()
-        .map(|(j, &x)| {
+            shared
+        };
+        self.grads.clear();
+        self.grads.extend(works.iter().enumerate().map(|(j, &x)| {
             let v = if x > 0.0 { x / t[j] } else { newcomer };
             alpha * v.powf(alpha - 1.0)
-        })
-        .collect()
+        }));
+    }
+}
+
+/// Which `(job, interval)` pairs the placement may use: one entry per
+/// interval inside a job's window, numbered job by job with intervals
+/// ascending, and listed again interval by interval in job order.
+#[derive(Debug)]
+struct Windows {
+    /// The elementary intervals `(start, end]`.
+    intervals: Vec<(f64, f64)>,
+    /// Job `j`'s entries are `job_start[j]..job_start[j + 1]`.
+    job_start: Vec<usize>,
+    /// Each entry's interval.
+    interval_of: Vec<usize>,
+    /// Interval `k`'s entries are
+    /// `by_interval[interval_start[k]..interval_start[k + 1]]`, in job
+    /// order.
+    interval_start: Vec<usize>,
+    by_interval: Vec<usize>,
+}
+
+impl Windows {
+    /// The window entries of `jobs` over `intervals`, and the initial
+    /// (AVR-proportional) placement on them.
+    fn new(intervals: Vec<(f64, f64)>, jobs: &[Job]) -> (Self, Vec<f64>) {
+        let mut job_start = Vec::with_capacity(jobs.len() + 1);
+        let mut interval_of = Vec::new();
+        let mut x = Vec::new();
+        for job in jobs {
+            let first = interval_of.len();
+            job_start.push(first);
+            let mut window_len = 0.0;
+            for (k, &(a, b)) in intervals.iter().enumerate() {
+                if a + EPS >= job.release && b <= job.deadline + EPS {
+                    interval_of.push(k);
+                    window_len += b - a;
+                }
+            }
+            assert!(
+                window_len > EPS,
+                "job {} has no elementary interval inside its window",
+                job.id
+            );
+            for &k in &interval_of[first..] {
+                let (a, b) = intervals[k];
+                x.push(job.work * (b - a) / window_len);
+            }
+        }
+        job_start.push(interval_of.len());
+        // Entries are numbered job by job, so a stable bucketing by
+        // interval lists each interval's entries in job order.
+        let mut interval_start = vec![0usize; intervals.len() + 1];
+        for &k in &interval_of {
+            interval_start[k + 1] += 1;
+        }
+        for k in 0..intervals.len() {
+            interval_start[k + 1] += interval_start[k];
+        }
+        let mut by_interval = vec![0usize; interval_of.len()];
+        let mut next = interval_start.clone();
+        for (e, &k) in interval_of.iter().enumerate() {
+            by_interval[next[k]] = e;
+            next[k] += 1;
+        }
+        (Self { intervals, job_start, interval_of, interval_start, by_interval }, x)
+    }
+
+    fn of_job(&self, j: usize) -> std::ops::Range<usize> {
+        self.job_start[j]..self.job_start[j + 1]
+    }
+
+    fn of_interval(&self, k: usize) -> &[usize] {
+        &self.by_interval[self.interval_start[k]..self.interval_start[k + 1]]
+    }
+
+    /// Gathers interval `k`'s entries of `value`, in job order, into
+    /// `inner.works` and returns the interval's length.
+    fn gather(&self, k: usize, value: impl Fn(usize) -> f64, inner: &mut Inner) -> f64 {
+        inner.works.clear();
+        inner.works.extend(self.of_interval(k).iter().map(|&e| value(e)));
+        let (a, b) = self.intervals[k];
+        b - a
+    }
+
+    /// `Σ_k E_k` of the placement `value(entry)`, interval by interval.
+    fn energy(&self, value: impl Fn(usize) -> f64, m: usize, alpha: f64, inner: &mut Inner) -> f64 {
+        (0..self.intervals.len())
+            .map(|k| {
+                let len = self.gather(k, &value, inner);
+                inner.energy(len, m, alpha)
+            })
+            .sum()
+    }
+
+    /// The placement `x` as the dense intervals × jobs matrix.
+    fn dense(&self, x: &[f64]) -> Vec<Vec<f64>> {
+        let mut placement = vec![vec![0.0f64; self.job_start.len() - 1]; self.intervals.len()];
+        for (j, entries) in self.job_start.windows(2).enumerate() {
+            for e in entries[0]..entries[1] {
+                placement[self.interval_of[e]][j] = x[e];
+            }
+        }
+        placement
+    }
 }
 
 /// Solves the migratory multi-machine energy minimization by
@@ -151,6 +286,9 @@ fn inner_gradient(works: &[f64], len: f64, m: usize, alpha: f64) -> Vec<f64> {
 /// low hundreds certifies gaps of a few percent on the experiment
 /// instances; the returned [`FwSolution::lower_bound`] is always a
 /// valid lower bound on OPT regardless of convergence.
+///
+/// Each iteration is one gradient pass and 51 energy evaluations over
+/// the `P` window entries (see the module doc), `O(P log P)` apiece.
 ///
 /// ```
 /// use speed_scaling::job::{Instance, Job};
@@ -188,64 +326,40 @@ pub fn multi_opt_frank_wolfe(
         .filter(|(a, b)| b - a > EPS)
         .collect();
     let nk = intervals.len();
-    let nj = jobs.len();
 
-    // Active incidence and initial (AVR-proportional) placement.
-    let mut active: Vec<Vec<usize>> = vec![Vec::new(); nj]; // job -> intervals
-    let mut x = vec![vec![0.0f64; nj]; nk]; // interval-major
-    for (j, job) in jobs.iter().enumerate() {
-        let mut window_len = 0.0;
-        for (k, &(a, b)) in intervals.iter().enumerate() {
-            if a + EPS >= job.release && b <= job.deadline + EPS {
-                active[j].push(k);
-                window_len += b - a;
-            }
-        }
-        assert!(
-            window_len > EPS,
-            "job {} has no elementary interval inside its window",
-            job.id
-        );
-        for &k in &active[j] {
-            let (a, b) = intervals[k];
-            x[k][j] = job.work * (b - a) / window_len;
-        }
-    }
-
-    let total_energy = |x: &Vec<Vec<f64>>| -> f64 {
-        intervals
-            .iter()
-            .enumerate()
-            .map(|(k, &(a, b))| inner_energy(&x[k], b - a, m, alpha))
-            .sum()
-    };
-
-    let mut energy = total_energy(&x);
+    let (windows, mut x) = Windows::new(intervals, jobs);
+    let mut inner = Inner::default();
+    let mut energy = windows.energy(|e| x[e], m, alpha, &mut inner);
     let mut gap = f64::INFINITY;
     let mut done = 0usize;
+    let mut grads = vec![0.0f64; x.len()];
+    let mut s = vec![0.0f64; x.len()];
     // Work counters accumulate in locals and land with one `add` per
     // solve, keeping the iteration loop free of atomic traffic.
     let mut fw_gradient_evals = 0_u64;
+    let mut fw_line_evals = 0_u64;
     for it in 0..iters {
-        // Gradients per interval.
-        let grads: Vec<Vec<f64>> = intervals
-            .iter()
-            .enumerate()
-            .map(|(k, &(a, b))| inner_gradient(&x[k], b - a, m, alpha))
-            .collect();
+        // Gradients per interval, on its window entries.
+        for k in 0..nk {
+            let len = windows.gather(k, |e| x[e], &mut inner);
+            inner.gradient(len, m, alpha);
+            for (&e, &g) in windows.of_interval(k).iter().zip(&inner.grads) {
+                grads[e] = g;
+            }
+        }
         fw_gradient_evals += nk as u64;
         // LMO: each job moves its full mass to its cheapest interval.
-        let mut s = vec![vec![0.0f64; nj]; nk];
         let mut fw_gap = 0.0;
         for (j, job) in jobs.iter().enumerate() {
-            let k_best = active[j]
-                .iter()
-                .copied()
-                .min_by(|&p, &q| grads[p][j].partial_cmp(&grads[q][j]).expect("finite"))
-                .expect("non-empty window");
-            s[k_best][j] = job.work;
-            for &k in &active[j] {
-                fw_gap += grads[k][j] * (x[k][j] - s[k][j]);
+            let entries = windows.of_job(j);
+            let Some(best) = entries.clone().min_by(|&p, &q| grads[p].total_cmp(&grads[q])) else {
+                continue;
+            };
+            for e in entries.clone() {
+                s[e] = if e == best { job.work } else { 0.0 };
+            }
+            for e in entries {
+                fw_gap += grads[e] * (x[e] - s[e]);
             }
         }
         gap = fw_gap.max(0.0);
@@ -254,35 +368,30 @@ pub fn multi_opt_frank_wolfe(
             break;
         }
         // Exact line search on the segment x + γ(s − x), γ ∈ [0, 1].
-        let eval = |gamma: f64| -> f64 {
-            let mut y = x.clone();
-            for k in 0..nk {
-                for j in 0..nj {
-                    y[k][j] = (1.0 - gamma) * x[k][j] + gamma * s[k][j];
-                }
-            }
-            total_energy(&y)
+        let mut eval = |gamma: f64| -> f64 {
+            fw_line_evals += nk as u64;
+            windows.energy(|e| (1.0 - gamma) * x[e] + gamma * s[e], m, alpha, &mut inner)
         };
-        let (gamma, val) = golden_min01(&eval);
+        let (gamma, val) = golden_min01(&mut eval);
         if val >= energy - 1e-12 * energy.max(1.0) {
             break; // numerically converged
         }
-        for k in 0..nk {
-            for j in 0..nj {
-                x[k][j] = (1.0 - gamma) * x[k][j] + gamma * s[k][j];
-            }
+        for (xe, &se) in x.iter_mut().zip(&s) {
+            *xe = (1.0 - gamma) * *xe + gamma * se;
         }
         energy = val;
     }
     qbss_telemetry::counter!("fw.iterations").add(done as u64);
     qbss_telemetry::counter!("fw.gradient_evals").add(fw_gradient_evals);
+    qbss_telemetry::counter!("fw.line_evals").add(fw_line_evals);
 
-    FwSolution { energy, gap, iterations: done, intervals, placement: x }
+    let placement = windows.dense(&x);
+    FwSolution { energy, gap, iterations: done, intervals: windows.intervals, placement }
 }
 
 /// Golden-section minimization over `[0, 1]` (small, local; avoids a
 /// dependency cycle with `qbss-analysis`).
-fn golden_min01(f: &dyn Fn(f64) -> f64) -> (f64, f64) {
+fn golden_min01(f: &mut dyn FnMut(f64) -> f64) -> (f64, f64) {
     const INV_PHI: f64 = 0.618_033_988_749_895;
     let (mut lo, mut hi) = (0.0f64, 1.0f64);
     let mut x1 = hi - (hi - lo) * INV_PHI;
@@ -307,12 +416,231 @@ fn golden_min01(f: &dyn Fn(f64) -> f64) -> (f64, f64) {
     (mid, f(mid))
 }
 
+/// The dense solver this module replaced, with its allocating inner
+/// helpers, kept as the differential suite's reference.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{golden_min01, FwSolution};
+    use crate::job::Instance;
+    use crate::time::{dedup_times, EPS};
+
+    pub(crate) fn water_filling_times(works: &[f64], len: f64, m: usize) -> Vec<f64> {
+        let n = works.len();
+        let mut t = vec![0.0; n];
+        let active: Vec<usize> =
+            (0..n).filter(|&j| works[j] > 0.0).collect();
+        if active.len() <= m {
+            for &j in &active {
+                t[j] = len;
+            }
+            return t;
+        }
+        // Sort active jobs by work, descending; peel off "big" jobs that
+        // deserve a dedicated machine (t = len), then the rest share.
+        let mut order = active.clone();
+        order.sort_by(|&a, &b| works[b].partial_cmp(&works[a]).expect("finite"));
+        let total: f64 = order.iter().map(|&j| works[j]).sum();
+        let mut rest = total;
+        let mut big = 0usize;
+        for &j in &order {
+            let machines_left = m - big;
+            // j is big iff giving it t = len still leaves the others at
+            // t_i = c·x_i ≤ len with c = (m − big − 1)·len / rest':
+            // equivalently x_j ≥ rest / machines_left.
+            if works[j] * machines_left as f64 > rest + EPS {
+                t[j] = len;
+                rest -= works[j];
+                big += 1;
+                if big == m {
+                    break;
+                }
+            } else {
+                break;
+            }
+        }
+        debug_assert!(big < m, "all machines taken by big jobs yet small jobs remain");
+        let c = (m - big) as f64 * len / rest.max(EPS);
+        for &j in &order[big..] {
+            t[j] = (c * works[j]).min(len);
+        }
+        t
+    }
+
+    /// Energy of the inner optimum for one interval.
+    pub(crate) fn inner_energy(works: &[f64], len: f64, m: usize, alpha: f64) -> f64 {
+        let t = water_filling_times(works, len, m);
+        works
+            .iter()
+            .zip(&t)
+            .filter(|(&x, _)| x > 0.0)
+            .map(|(&x, &tj)| x.powf(alpha) * tj.powf(1.0 - alpha))
+            .sum()
+    }
+
+    /// Gradient `∂E_k/∂x_j = α (x_j/t_j)^{α−1}` at the inner optimum
+    /// (envelope theorem); for `x_j = 0` the one-sided derivative is 0 when
+    /// a machine is free in the interval and `α·(1/c)^{α−1}` otherwise —
+    /// we return the correct marginal cost of adding infinitesimal work.
+    fn inner_gradient(works: &[f64], len: f64, m: usize, alpha: f64) -> Vec<f64> {
+        let t = water_filling_times(works, len, m);
+        let active = works.iter().filter(|&&x| x > 0.0).count();
+        // Marginal speed for a newcomer: 0 if a machine is idle, else the
+        // shared small-job speed 1/c (the cheapest room in the interval).
+        let newcomer = if active < m {
+            0.0
+        } else {
+            // Shared speed = x/t of any small job; if all active are big
+            // (t = len), the newcomer would displace capacity at the
+            // smallest big speed.
+            let mut shared = f64::INFINITY;
+            for (j, &x) in works.iter().enumerate() {
+                if x > 0.0 {
+                    shared = shared.min(x / t[j]);
+                }
+            }
+            shared
+        };
+        works
+            .iter()
+            .enumerate()
+            .map(|(j, &x)| {
+                let v = if x > 0.0 { x / t[j] } else { newcomer };
+                alpha * v.powf(alpha - 1.0)
+            })
+            .collect()
+    }
+
+    /// Today's dense Frank–Wolfe: clones the intervals × jobs placement
+    /// for every line-search evaluation.
+    pub(crate) fn multi_opt_frank_wolfe(
+        instance: &Instance,
+        m: usize,
+        alpha: f64,
+        iters: usize,
+    ) -> FwSolution {
+        assert!(m >= 1 && alpha > 1.0);
+        let jobs = &instance.jobs;
+        if jobs.is_empty() {
+            return FwSolution {
+                energy: 0.0,
+                gap: 0.0,
+                iterations: 0,
+                intervals: Vec::new(),
+                placement: Vec::new(),
+            };
+        }
+        let events = dedup_times(instance.event_times());
+        let intervals: Vec<(f64, f64)> = events
+            .windows(2)
+            .map(|w| (w[0], w[1]))
+            .filter(|(a, b)| b - a > EPS)
+            .collect();
+        let nk = intervals.len();
+        let nj = jobs.len();
+
+        // Active incidence and initial (AVR-proportional) placement.
+        let mut active: Vec<Vec<usize>> = vec![Vec::new(); nj]; // job -> intervals
+        let mut x = vec![vec![0.0f64; nj]; nk]; // interval-major
+        for (j, job) in jobs.iter().enumerate() {
+            let mut window_len = 0.0;
+            for (k, &(a, b)) in intervals.iter().enumerate() {
+                if a + EPS >= job.release && b <= job.deadline + EPS {
+                    active[j].push(k);
+                    window_len += b - a;
+                }
+            }
+            assert!(
+                window_len > EPS,
+                "job {} has no elementary interval inside its window",
+                job.id
+            );
+            for &k in &active[j] {
+                let (a, b) = intervals[k];
+                x[k][j] = job.work * (b - a) / window_len;
+            }
+        }
+
+        let total_energy = |x: &Vec<Vec<f64>>| -> f64 {
+            intervals
+                .iter()
+                .enumerate()
+                .map(|(k, &(a, b))| inner_energy(&x[k], b - a, m, alpha))
+                .sum()
+        };
+
+        let mut energy = total_energy(&x);
+        let mut gap = f64::INFINITY;
+        let mut done = 0usize;
+        // Work counters accumulate in locals and land with one `add` per
+        // solve, keeping the iteration loop free of atomic traffic.
+        let mut fw_gradient_evals = 0_u64;
+        for it in 0..iters {
+            // Gradients per interval.
+            let grads: Vec<Vec<f64>> = intervals
+                .iter()
+                .enumerate()
+                .map(|(k, &(a, b))| inner_gradient(&x[k], b - a, m, alpha))
+                .collect();
+            fw_gradient_evals += nk as u64;
+            // LMO: each job moves its full mass to its cheapest interval.
+            let mut s = vec![vec![0.0f64; nj]; nk];
+            let mut fw_gap = 0.0;
+            for (j, job) in jobs.iter().enumerate() {
+                let k_best = active[j]
+                    .iter()
+                    .copied()
+                    .min_by(|&p, &q| grads[p][j].partial_cmp(&grads[q][j]).expect("finite"))
+                    .expect("non-empty window");
+                s[k_best][j] = job.work;
+                for &k in &active[j] {
+                    fw_gap += grads[k][j] * (x[k][j] - s[k][j]);
+                }
+            }
+            gap = fw_gap.max(0.0);
+            done = it + 1;
+            if gap <= 1e-9 * energy.max(1.0) {
+                break;
+            }
+            // Exact line search on the segment x + γ(s − x), γ ∈ [0, 1].
+            let mut eval = |gamma: f64| -> f64 {
+                let mut y = x.clone();
+                for k in 0..nk {
+                    for j in 0..nj {
+                        y[k][j] = (1.0 - gamma) * x[k][j] + gamma * s[k][j];
+                    }
+                }
+                total_energy(&y)
+            };
+            let (gamma, val) = golden_min01(&mut eval);
+            if val >= energy - 1e-12 * energy.max(1.0) {
+                break; // numerically converged
+            }
+            for k in 0..nk {
+                for j in 0..nj {
+                    x[k][j] = (1.0 - gamma) * x[k][j] + gamma * s[k][j];
+                }
+            }
+            energy = val;
+        }
+        qbss_telemetry::counter!("fw.iterations").add(done as u64);
+        qbss_telemetry::counter!("fw.gradient_evals").add(fw_gradient_evals);
+
+        FwSolution { energy, gap, iterations: done, intervals, placement: x }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::job::Job;
     use crate::multi::{avr_m, opt_lower_bound};
     use crate::yds::optimal_energy;
+
+    fn inner_energy(works: &[f64], len: f64, m: usize, alpha: f64) -> f64 {
+        let mut inner = Inner::default();
+        inner.works.extend_from_slice(works);
+        inner.energy(len, m, alpha)
+    }
 
     #[test]
     fn single_machine_matches_yds() {

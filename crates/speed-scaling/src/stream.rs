@@ -31,13 +31,22 @@
 //!   is maintained with a monotone stack in `O(k)` per arrival (`k` =
 //!   active jobs) instead of a full `O(k³)` YDS re-solve, using
 //!   preallocated scratch buffers.
-//! * [`BkpStream`] — the e-window intensity query walks release
-//!   candidates once and sweeps a deadline-sorted running sum per
-//!   candidate: `O(k²)` per event instead of the `O(k³)` all-pairs scan.
+//! * [`BkpStream`] — keeps the arrived jobs in (deadline, arrival)
+//!   order, grown by binary insertion, and for each release candidate
+//!   `t1` the work of the deadlines that expired before the last
+//!   arrival. A query resumes each candidate's running sum there and
+//!   sweeps on through the later deadlines, adding what a sweep from
+//!   the first deadline adds, in the same order: `O(r·l)` for `r`
+//!   releases and `l` deadlines past the kept prefix, against
+//!   `O(k log k + r·k)` for a re-sort and full sweep of all `k` arrived
+//!   jobs. Keeping the sums costs `O(k)` per arrival and per expired
+//!   deadline; `finish` replays the arrivals on a second view whose
+//!   sums follow the grid midpoints, so each of its probes sweeps only
+//!   the live deadlines.
 
 use crate::job::{Instance, Job};
 use crate::profile::SpeedProfile;
-use crate::time::{approx_eq, dedup_times, EPS};
+use crate::time::{approx_eq, dedup_times, time_key, EPS};
 
 /// Returns the instance's jobs in canonical arrival order: sorted by
 /// release time, ties kept in storage order (stable). This is the order
@@ -141,28 +150,163 @@ impl AvrStream {
 /// The BKP intensity `max_{t1 < t ≤ t2} w(t1, t2)/(t2 − t1)` over a set
 /// of *arrived* jobs (all `release ≤ t + EPS`; the caller pre-filters).
 ///
-/// Candidate `t1` ranges over releases strictly below `t`, candidate
-/// `t2` over deadlines at-or-after `t`; for each `t1` the deadlines are
-/// swept in sorted order with a running work sum, so the query is
-/// `O(k²)` instead of the all-pairs `O(k³)` scan.
+/// Candidate `t1` ranges over releases strictly below `t`, candidate `t2`
+/// over deadlines at or after `t`; for each `t1` the deadlines are swept
+/// in sorted order with a running work sum. A one-shot query: it sorts
+/// the jobs by deadline and sums every `t1`'s expired deadlines from the
+/// first, `O(k log k + r·k)` for `k` jobs and `r` releases below `t`.
+/// [`BkpStream`] answers the same query from sums it keeps.
 pub fn intensity_over(arrived: &[Job], t: f64) -> f64 {
+    DeadlineView::of(arrived).intensity(t)
+}
+
+/// BKP's view of a set of arrived jobs: the jobs in arrival order and in
+/// (deadline, arrival) order, and for each job's release as a candidate
+/// `t1` the work of a prefix of the deadline order.
+///
+/// A query at `t` sweeps, for each `t1`, the deadlines in order with a
+/// running work sum, and only the *live* deadlines (at or after
+/// `t − EPS`) are candidate `t2`s; the *expired* ones before them only
+/// feed the sum. So each `t1`'s sum over the expired prefix is kept, and
+/// [`DeadlineView::advance`] extends it as probe times grow. A query
+/// resumes each sum where the kept prefix ends: the same additions in
+/// the same order as a sweep from the first deadline, so the same bits,
+/// at `O(r·l)` for `r` releases below `t` and `l` deadlines past the
+/// prefix (the live ones, once the prefix reaches `t`).
+#[derive(Debug, Clone, Default)]
+struct DeadlineView {
+    /// The jobs in arrival order.
+    jobs: Vec<Job>,
+    /// The same jobs in (deadline, arrival) order.
+    by_deadline: Vec<Job>,
+    /// How many entries of `by_deadline` the `sums` cover.
+    summed: usize,
+    /// Per job in arrival order: the work of `by_deadline[..summed]`
+    /// released at or after the job's release (up to `EPS`), added in
+    /// deadline order.
+    sums: Vec<f64>,
+}
+
+impl DeadlineView {
+    /// A view of `jobs` (in arrival order) with nothing summed yet.
+    fn of(jobs: &[Job]) -> Self {
+        let mut by_deadline = jobs.to_vec();
+        by_deadline.sort_by(|a, b| time_key(a.deadline).total_cmp(&time_key(b.deadline)));
+        Self { jobs: jobs.to_vec(), by_deadline, summed: 0, sums: vec![0.0; jobs.len()] }
+    }
+
+    /// How many entries of `by_deadline` expire before `t`: the deadlines
+    /// more than `EPS` before it, which are never candidate `t2`s.
+    fn expired(&self, t: f64) -> usize {
+        self.by_deadline.partition_point(|j| j.deadline + EPS < t)
+    }
+
+    /// Adds the next arrival, after every job with an equal deadline, and
+    /// sums its release's share of the kept prefix.
+    fn push(&mut self, job: Job) {
+        let key = time_key(job.deadline);
+        let at = self.by_deadline.partition_point(|j| time_key(j.deadline).total_cmp(&key).is_le());
+        if at < self.summed {
+            // Arrivals land past the kept prefix whenever each release
+            // stays within 2·EPS of every earlier one, as the engine's and
+            // the batch adapters' feeds do: the prefix holds deadlines
+            // more than EPS before an earlier release, and the new job's
+            // deadline is more than EPS past its own release. The feeding
+            // check only compares with the previous release, so a feed
+            // that creeps down further starts the sums over instead.
+            self.summed = 0;
+            self.sums.fill(0.0);
+        }
+        let mut sum = 0.0_f64;
+        for j in &self.by_deadline[..self.summed] {
+            if j.release + EPS >= job.release {
+                sum += j.work;
+            }
+        }
+        qbss_telemetry::counter!("bkp.deadline_steps").add(self.summed as u64);
+        self.by_deadline.insert(at, job);
+        self.jobs.push(job);
+        self.sums.push(sum);
+    }
+
+    /// Extends every kept sum over the deadlines that expire before `t`.
+    fn advance(&mut self, t: f64) {
+        let expired = self.expired(t);
+        if self.summed >= expired {
+            return;
+        }
+        for j in &self.by_deadline[self.summed..expired] {
+            for (sum, t1) in self.sums.iter_mut().zip(&self.jobs) {
+                if j.release + EPS >= t1.release {
+                    *sum += j.work;
+                }
+            }
+        }
+        let steps = (expired - self.summed) * self.jobs.len();
+        qbss_telemetry::counter!("bkp.deadline_steps").add(steps as u64);
+        self.summed = expired;
+    }
+
+    /// The intensity at `t`; every job in the view must have arrived by
+    /// `t`. Resumes from the kept sums when they cover only expired
+    /// deadlines, and sums from the first deadline otherwise.
+    fn intensity(&self, t: f64) -> f64 {
+        if self.jobs.is_empty() {
+            return 0.0;
+        }
+        let live = self.expired(t);
+        let resume = self.summed <= live;
+        let from = if resume { self.summed } else { 0 };
+        let n = self.by_deadline.len();
+        // One window slide = one (t1, t2) candidate step of the sweep, one
+        // deadline step = one entry passed by a running sum; both
+        // accumulate locally and land with a single `add` per query.
+        let mut window_slides = 0_u64;
+        let mut deadline_steps = 0_u64;
+        let mut best = 0.0_f64;
+        for (i, job) in self.jobs.iter().enumerate() {
+            let t1 = job.release;
+            if !(t1 < t && t1.is_finite()) {
+                continue;
+            }
+            let mut acc = if resume { self.sums[i] } else { 0.0 };
+            let mut p = from;
+            for cand in self.by_deadline[live..].iter().map(|j| j.deadline) {
+                window_slides += 1;
+                while p < n && self.by_deadline[p].deadline <= cand + EPS {
+                    if self.by_deadline[p].release + EPS >= t1 {
+                        acc += self.by_deadline[p].work;
+                    }
+                    p += 1;
+                }
+                if cand > t1 + EPS {
+                    best = best.max(acc / (cand - t1));
+                }
+            }
+            deadline_steps += (p - from) as u64;
+        }
+        qbss_telemetry::counter!("bkp.intensity_queries").inc();
+        qbss_telemetry::counter!("bkp.window_slides").add(window_slides);
+        qbss_telemetry::counter!("bkp.deadline_steps").add(deadline_steps);
+        best
+    }
+}
+
+/// Today's quadratic `intensity_over`: re-sorts the jobs and sums every
+/// `t1`'s deadlines from the first, kept as the differential suite's
+/// reference.
+#[cfg(test)]
+pub(crate) fn reference_intensity_over(arrived: &[Job], t: f64) -> f64 {
     if arrived.is_empty() {
         return 0.0;
     }
-    // Deadline-sorted view: drives both the t2 candidate sweep and the
-    // running work sum.
     let mut by_deadline: Vec<&Job> = arrived.iter().collect();
     by_deadline.sort_by(|a, b| a.deadline.partial_cmp(&b.deadline).expect("finite deadline"));
-
-    // One window slide = one (t1, t2) candidate step of the sweep;
-    // accumulated locally, landed with a single `add` per query.
-    let mut window_slides = 0_u64;
     let mut best = 0.0_f64;
     for t1 in arrived.iter().map(|j| j.release).filter(|&r| r < t && r.is_finite()) {
         let mut acc = 0.0_f64;
         let mut p = 0usize;
         for cand in by_deadline.iter().map(|j| j.deadline).filter(|&d| d + EPS >= t) {
-            window_slides += 1;
             while p < by_deadline.len() && by_deadline[p].deadline <= cand + EPS {
                 if by_deadline[p].release + EPS >= t1 {
                     acc += by_deadline[p].work;
@@ -174,16 +318,14 @@ pub fn intensity_over(arrived: &[Job], t: f64) -> f64 {
             }
         }
     }
-    qbss_telemetry::counter!("bkp.intensity_queries").inc();
-    qbss_telemetry::counter!("bkp.window_slides").add(window_slides);
     best
 }
 
-/// Incremental BKP state: arrived jobs in release order.
+/// Incremental BKP state: the arrived jobs as a [`DeadlineView`] whose
+/// sums are extended to each arrival's release before the job joins.
 #[derive(Debug, Clone, Default)]
 pub struct BkpStream {
-    jobs: Vec<Job>,
-    last_release: f64,
+    view: DeadlineView,
 }
 
 impl BkpStream {
@@ -194,51 +336,96 @@ impl BkpStream {
 
     /// Number of arrivals so far.
     pub fn len(&self) -> usize {
-        self.jobs.len()
+        self.view.jobs.len()
     }
 
     /// Whether no job has arrived yet.
     pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
+        self.view.jobs.is_empty()
     }
 
     /// Feeds one arrival. Panics if fed out of release order.
     pub fn on_arrival(&mut self, job: Job) {
-        if !self.jobs.is_empty() {
-            assert_monotone(self.last_release, job.release, "BkpStream");
+        if let Some(last) = self.view.jobs.last() {
+            assert_monotone(last.release, job.release, "BkpStream");
         }
-        self.last_release = job.release;
-        self.jobs.push(job);
+        self.view.advance(job.release);
+        self.view.push(job);
     }
 
     /// The BKP speed (`e ·` intensity) just after `t` over the jobs
-    /// arrived so far.
+    /// arrived so far. A probe at or after the last arrival resumes the
+    /// stream's sums; an earlier one, which leaves some jobs out, sums
+    /// over a one-shot view of the jobs arrived by `t`.
     pub fn speed_after(&self, t: f64) -> f64 {
-        let arrived = self.arrived_prefix(t);
-        std::f64::consts::E * intensity_over(arrived, t)
+        let arrived = self.arrived(t);
+        let intensity = if arrived == self.view.jobs.len() {
+            self.view.intensity(t)
+        } else {
+            DeadlineView::of(&self.view.jobs[..arrived]).intensity(t)
+        };
+        std::f64::consts::E * intensity
     }
 
-    fn arrived_prefix(&self, t: f64) -> &[Job] {
-        let n = self.jobs.partition_point(|j| j.release <= t + EPS);
-        &self.jobs[..n]
+    fn arrived(&self, t: f64) -> usize {
+        self.view.jobs.partition_point(|j| j.release <= t + EPS)
     }
 
-    /// Builds the BKP profile of everything that has arrived.
+    /// Builds the BKP profile of everything that has arrived: one query
+    /// per grid midpoint, on a view that replays the arrivals and extends
+    /// its sums as the midpoints advance.
     pub fn finish(&self) -> SpeedProfile {
-        if self.jobs.is_empty() {
+        if self.view.jobs.is_empty() {
             return SpeedProfile::zero();
         }
-        let mut events = Vec::with_capacity(2 * self.jobs.len());
-        for j in &self.jobs {
+        let grid = dedup_times(self.events());
+        let mut values = Vec::with_capacity(grid.len() - 1);
+        let mut replay = DeadlineView::default();
+        for w in grid.windows(2) {
+            let mid = 0.5 * (w[0] + w[1]);
+            // The arrived count never falls as `mid` grows: each job's
+            // test only turns true, and a binary search that meets a true
+            // probe where it met a false one only ends further right.
+            let arrived = self.arrived(mid);
+            debug_assert!(arrived >= replay.jobs.len(), "arrivals un-arrived at {mid}");
+            for &job in &self.view.jobs[replay.jobs.len()..arrived] {
+                replay.push(job);
+            }
+            replay.advance(mid);
+            values.push(std::f64::consts::E * replay.intensity(mid));
+        }
+        SpeedProfile::new(grid, values)
+    }
+
+    fn events(&self) -> Vec<f64> {
+        let mut events = Vec::with_capacity(2 * self.view.jobs.len());
+        for j in &self.view.jobs {
             events.push(j.release);
             events.push(j.deadline);
         }
-        let grid = dedup_times(events);
+        events
+    }
+}
+
+/// Today's BKP queries, one quadratic re-sort and sweep per probe, kept
+/// as the differential suite's reference.
+#[cfg(test)]
+impl BkpStream {
+    pub(crate) fn reference_speed_after(&self, t: f64) -> f64 {
+        let arrived = &self.view.jobs[..self.arrived(t)];
+        std::f64::consts::E * reference_intensity_over(arrived, t)
+    }
+
+    pub(crate) fn reference_finish(&self) -> SpeedProfile {
+        if self.view.jobs.is_empty() {
+            return SpeedProfile::zero();
+        }
+        let grid = dedup_times(self.events());
         let mut values = Vec::with_capacity(grid.len() - 1);
         for w in grid.windows(2) {
             let mid = 0.5 * (w[0] + w[1]);
-            let arrived = self.arrived_prefix(mid);
-            values.push(std::f64::consts::E * intensity_over(arrived, mid));
+            let arrived = &self.view.jobs[..self.arrived(mid)];
+            values.push(std::f64::consts::E * reference_intensity_over(arrived, mid));
         }
         SpeedProfile::new(grid, values)
     }

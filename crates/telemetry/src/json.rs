@@ -272,12 +272,50 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: JsonValue) -> Result<JsonV
     }
 }
 
-/// Reads a finite number; JSON has no `NaN` or `Infinity`, and a
-/// literal too large for an `f64` (`1e999`) is rejected, not rounded.
+/// Reads a finite number in RFC 8259's grammar,
+/// `-? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?`, so `+0`, `4.`,
+/// `.5` and `03` are errors at the byte that breaks it. JSON has no
+/// `NaN` or `Infinity`, and a literal too large for an `f64` (`1e999`)
+/// is rejected, not rounded.
 fn parse_number(b: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
     let start = *pos;
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while b.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
+        }
+        *pos > from
+    };
+    let bad = |pos: usize, what: &str| err(pos, format!("expected a finite number ({what})"));
+    if b.get(*pos) == Some(&b'-') {
         *pos += 1;
+    }
+    match b.get(*pos) {
+        Some(b'0') => {
+            *pos += 1;
+            if b.get(*pos).is_some_and(u8::is_ascii_digit) {
+                return Err(bad(*pos, "no leading zeros"));
+            }
+        }
+        Some(b'1'..=b'9') => {
+            digits(pos);
+        }
+        _ => return Err(bad(*pos, "a digit starts it")),
+    }
+    if b.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        if !digits(pos) {
+            return Err(bad(*pos, "a digit follows `.`"));
+        }
+    }
+    if matches!(b.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(b.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        if !digits(pos) {
+            return Err(bad(*pos, "the exponent has a digit"));
+        }
     }
     std::str::from_utf8(&b[start..*pos])
         .ok()
@@ -400,6 +438,55 @@ mod tests {
             assert!(parse(bad).is_err(), "{bad}");
         }
         assert_eq!(parse("\"\\u0041\"").expect("four hex digits"), JsonValue::Str("A".into()));
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_8259_grammar() {
+        // Each malformed number is rejected at the byte that breaks the
+        // grammar, inside a document too.
+        for (bad, at) in
+            [("+0", 0), ("4.", 2), (".5", 0), ("03", 1), ("-", 1), ("1e", 2), ("--1", 1)]
+        {
+            let e = parse(bad).unwrap_err();
+            assert!(e.ends_with(&format!(" at byte {at}")), "{bad}: {e}");
+            let e = parse(&format!("[1, {bad}]")).unwrap_err();
+            assert!(e.ends_with(&format!(" at byte {}", at + 4)), "[1, {bad}]: {e}");
+        }
+        // Valid forms read as `str::parse` reads them, bit for bit.
+        for ok in [
+            "0", "-0", "7", "-12", "0.5", "-0.0", "1e3", "1E+3", "2e-3", "-12.5e-07", "0.1",
+            "9007199254740993", "123456789012345678901234567890", "2.2250738585072014e-308",
+            "5e-324", "1.7976931348623157e308",
+        ] {
+            let want = ok.parse::<f64>().expect("valid").to_bits();
+            let got = parse(ok).ok().and_then(|v| v.as_f64()).map(f64::to_bits);
+            assert_eq!(got, Some(want), "{ok}");
+        }
+    }
+
+    #[test]
+    fn every_committed_json_file_parses() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut pending = vec![root];
+        let mut parsed = 0;
+        while let Some(dir) = pending.pop() {
+            for entry in std::fs::read_dir(&dir).expect("readable dir") {
+                let path = entry.expect("dir entry").path();
+                let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+                if path.is_dir() {
+                    if !name.starts_with('.') && name != "target" {
+                        pending.push(path);
+                    }
+                } else if name.ends_with(".json") {
+                    let text = std::fs::read_to_string(&path).expect("utf-8 json");
+                    if let Err(e) = parse(&text) {
+                        panic!("{}: {e}", path.display());
+                    }
+                    parsed += 1;
+                }
+            }
+        }
+        assert!(parsed >= 9, "found only {parsed} JSON files");
     }
 
     #[test]
