@@ -8,10 +8,16 @@
 //! * a declarative [`SweepSpec`] names the grid (instance source ×
 //!   algorithm set × α grid — machine counts ride on the
 //!   [`Algorithm`] values themselves);
-//! * [`run_sweep`] fans the cells out over work-stealing shards
-//!   ([`crate::par::par_map_stealing`]), dispatching every cell through
-//!   [`qbss_core::pipeline::run_evaluated`] — so a sweep is also a
-//!   no-panic, fully validated end-to-end pass;
+//! * [`run_sweep`] fans *units* out over work-stealing shards
+//!   ([`crate::par::par_map_stealing`]). A unit is one
+//!   *(instance, algorithm)* pair: it solves through
+//!   [`qbss_core::pipeline::solve`] once (once per α for an algorithm
+//!   that [plans with α](Algorithm::plans_with_alpha), OAQ(m)), then
+//!   re-costs that outcome at every α of the grid, each cell behind the
+//!   pipeline's finiteness gate ([`qbss_core::pipeline::Evaluated::gate`])
+//!   — so a sweep is also a no-panic, fully validated end-to-end pass,
+//!   and every cell equals a cold [`qbss_core::pipeline::run_evaluated`]
+//!   at its α bit for bit;
 //! * a per-instance **profile cache** ([`std::sync::OnceLock`] slots,
 //!   lock-free on the hot path) builds each instance and its clairvoyant
 //!   [`OptCache`] once, shared by all algorithms and α values of that
@@ -49,7 +55,8 @@ use std::time::{Duration, Instant};
 use qbss_analysis::bounds;
 use qbss_analysis::stats::percentile_sorted;
 use qbss_core::model::QbssInstance;
-use qbss_core::pipeline::{run_evaluated, Algorithm};
+use qbss_core::error::QbssError;
+use qbss_core::pipeline::{solve, Algorithm, Evaluated};
 use qbss_instances::gen::{generate, GenConfig};
 use qbss_telemetry::{Registry, DURATION_US_BOUNDS};
 use speed_scaling::cache::OptCache;
@@ -410,7 +417,7 @@ pub struct ShardStats {
 /// only part of a report that is *not* deterministic.
 #[derive(Debug, Clone)]
 pub struct Instrumentation {
-    /// Work-stealing shard count actually used.
+    /// Work-stealing shard count actually used (at most one per unit).
     pub shards: usize,
     /// End-to-end wall-clock time of the sweep.
     pub wall: Duration,
@@ -418,8 +425,8 @@ pub struct Instrumentation {
     pub cells: usize,
     /// `cells / wall` throughput.
     pub cells_per_sec: f64,
-    /// Instance-context cache: cells that found their instance's
-    /// profiles already built.
+    /// Instance-context cache: units (one per *(instance, algorithm)*
+    /// pair) that found their instance's profiles already built.
     pub ctx_hits: u64,
     /// Instance-context cache: contexts built (one per instance).
     pub ctx_misses: u64,
@@ -646,9 +653,10 @@ fn json_digest(d: Option<Digest>) -> String {
 
 /// Runs the sweep over `shards` work-stealing workers (0 = number of
 /// available cores). See the module docs for the full contract; in
-/// short: every cell goes through the checked pipeline, per-instance
-/// profiles are computed once, and the returned aggregates are
-/// deterministic in the spec — independent of `shards`.
+/// short: every cell goes through the checked pipeline, each
+/// α-independent outcome and per-instance profiles are computed once,
+/// and the returned aggregates are deterministic in the spec —
+/// independent of `shards`.
 pub fn run_sweep(spec: &SweepSpec, shards: usize) -> Result<EngineReport, EngineError> {
     run_sweep_audited(spec, shards, None)
 }
@@ -669,12 +677,13 @@ pub fn run_sweep_audited(
     let n_algs = spec.algorithms.len();
     let n_alphas = spec.alphas.len();
     let n_cells = n_inst * n_algs * n_alphas;
+    let n_units = n_inst * n_algs;
     let shards_used = if shards == 0 {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     } else {
         shards
     }
-    .min(n_cells.max(1));
+    .min(n_units.max(1));
 
     // Per-group proven bounds, resolved once.
     let group_bounds: Vec<(Option<f64>, Option<f64>)> = spec
@@ -702,110 +711,136 @@ pub fn run_sweep_audited(
     let shard_cells: Vec<AtomicU64> = (0..shards_used).map(|_| AtomicU64::new(0)).collect();
     let shard_busy_ns: Vec<AtomicU64> = (0..shards_used).map(|_| AtomicU64::new(0)).collect();
 
+    // Profile cache: build each instance context exactly once.
+    let context = |inst_idx: usize| -> &InstanceCtx {
+        let slot = &contexts[inst_idx];
+        if let Some(ctx) = slot.get() {
+            ctx_hits.inc();
+            return ctx;
+        }
+        let mut built_here = false;
+        let ctx = slot.get_or_init(|| {
+            built_here = true;
+            InstanceCtx::new(spec.instance(inst_idx))
+        });
+        if built_here {
+            ctx_misses.inc();
+        } else {
+            ctx_hits.inc();
+        }
+        ctx
+    };
+
     let mut sweep_span = qbss_telemetry::span!("engine.sweep", {
         cells = n_cells,
         shards = shards_used,
         instances = n_inst,
     });
     let t0 = Instant::now();
-    let records: Vec<CellRecord> = crate::par::par_map_stealing(n_cells, shards_used, |shard, id| {
-        let started = Instant::now();
-        // Canonical cell order: instance outer, algorithm middle, α inner.
-        let inst_idx = id / (n_algs * n_alphas);
-        let alg_idx = (id / n_alphas) % n_algs;
-        let alpha_idx = id % n_alphas;
-        let alg = spec.algorithms[alg_idx];
-        let alpha = spec.alphas[alpha_idx];
-        let cell_span = qbss_telemetry::span!("engine.cell", {
-            cell = id,
-            instance = inst_idx,
-            algorithm = alg.to_string(),
-            alpha = alpha,
-        });
-
-        // Profile cache: build the instance context exactly once.
-        let slot = &contexts[inst_idx];
-        let ctx = match slot.get() {
-            Some(ctx) => {
-                ctx_hits.inc();
-                ctx
-            }
-            None => {
-                let mut built_here = false;
-                let ctx = slot.get_or_init(|| {
-                    built_here = true;
-                    InstanceCtx::new(spec.instance(inst_idx))
+    // The unit of work is one (instance, algorithm) pair, in canonical
+    // order (instance outer, algorithm inner). A unit solves once, or
+    // once per α for an algorithm that plans with α, and costs the held
+    // outcome at every α of the grid: one cell each, α inner.
+    let units: Vec<Vec<CellRecord>> =
+        crate::par::par_map_stealing(n_units, shards_used, |shard, unit| {
+            let (inst_idx, alg_idx) = (unit / n_algs, unit % n_algs);
+            let alg = spec.algorithms[alg_idx];
+            let mut unit_ctx: Option<&InstanceCtx> = None;
+            let mut held: Option<Result<Evaluated, QbssError>> = None;
+            let mut cells = Vec::with_capacity(n_alphas);
+            for (alpha_idx, &alpha) in spec.alphas.iter().enumerate() {
+                let started = Instant::now();
+                let id = unit * n_alphas + alpha_idx;
+                let cell_span = qbss_telemetry::span!("engine.cell", {
+                    cell = id,
+                    instance = inst_idx,
+                    algorithm = alg.to_string(),
+                    alpha = alpha,
                 });
-                if built_here {
-                    ctx_misses.inc();
-                } else {
-                    ctx_hits.inc();
-                }
-                ctx
-            }
-        };
-
-        let result = match run_evaluated(&ctx.inst, alpha, alg) {
-            Err(e) => {
-                cell_errors.inc();
-                qbss_telemetry::warn!(
-                    "engine.cell",
-                    { cell = id, instance = inst_idx, algorithm = alg.to_string() },
-                    "cell rejected by the checked pipeline: {e}"
-                );
-                Err(e.to_string())
-            }
-            Ok(ev) => {
-                if let Some(auditor) = auditor {
-                    auditor.audit(&ctx.inst, alpha, alg, &ev, &ctx.opt);
-                }
-                let queried = ev.outcome.decisions.iter().filter(|d| d.queried).count();
-                let (energy_ratio, speed_ratio) = if alg.machines() <= 1 {
-                    let opt_e = ctx.opt.energy(alpha);
-                    let opt_s = ctx.opt.max_speed();
-                    (
-                        if opt_e <= 0.0 { 1.0 } else { ev.energy / opt_e },
-                        Some(if opt_s <= 0.0 { 1.0 } else { ev.max_speed / opt_s }),
-                    )
-                } else {
-                    let (lb, hit) =
-                        ctx.multi_lower_bound(alg.machines(), alpha, spec.opt_fw_iters);
-                    if hit {
-                        multi_hits.inc();
-                    } else {
-                        multi_misses.inc();
+                let ctx = *unit_ctx.get_or_insert_with(|| context(inst_idx));
+                let solved = match held.take() {
+                    Some(Ok(mut ev)) if !alg.plans_with_alpha() => {
+                        ev.recost(alpha);
+                        Ok(ev)
                     }
-                    (if lb <= 0.0 { 1.0 } else { ev.energy / lb }, None)
+                    Some(Err(e)) if !alg.plans_with_alpha() => Err(e),
+                    _ => solve(&ctx.inst, alpha, alg),
                 };
-                Ok(CellMetrics {
-                    energy: ev.energy,
-                    peak_speed: ev.max_speed,
-                    energy_ratio,
-                    speed_ratio,
-                    queried,
-                })
-            }
-        };
+                let checked = match held.insert(solved) {
+                    Ok(ev) => ev.gate().map(|()| &*ev),
+                    Err(e) => Err(e.clone()),
+                };
+                let result = match checked {
+                    Err(e) => {
+                        cell_errors.inc();
+                        qbss_telemetry::warn!(
+                            "engine.cell",
+                            { cell = id, instance = inst_idx, algorithm = alg.to_string() },
+                            "cell rejected by the checked pipeline: {e}"
+                        );
+                        Err(e.to_string())
+                    }
+                    Ok(ev) => {
+                        if let Some(auditor) = auditor {
+                            auditor.audit(&ctx.inst, alpha, alg, ev, &ctx.opt);
+                        }
+                        let queried = ev.outcome.decisions.iter().filter(|d| d.queried).count();
+                        let (energy_ratio, speed_ratio) = if alg.machines() <= 1 {
+                            let opt_e = ctx.opt.energy(alpha);
+                            let opt_s = ctx.opt.max_speed();
+                            (
+                                if opt_e <= 0.0 { 1.0 } else { ev.energy / opt_e },
+                                Some(if opt_s <= 0.0 { 1.0 } else { ev.max_speed / opt_s }),
+                            )
+                        } else {
+                            let (lb, hit) =
+                                ctx.multi_lower_bound(alg.machines(), alpha, spec.opt_fw_iters);
+                            if hit {
+                                multi_hits.inc();
+                            } else {
+                                multi_misses.inc();
+                            }
+                            (if lb <= 0.0 { 1.0 } else { ev.energy / lb }, None)
+                        };
+                        Ok(CellMetrics {
+                            energy: ev.energy,
+                            peak_speed: ev.max_speed,
+                            energy_ratio,
+                            speed_ratio,
+                            queried,
+                        })
+                    }
+                };
 
-        // Feed the streaming aggregator.
-        let group = alg_idx * n_alphas + alpha_idx;
-        let (energy_bound, speed_bound) = group_bounds[group];
-        match &result {
-            Ok(m) => live[group].record_ok(id, m, energy_bound, speed_bound),
-            Err(_) => {
-                live[group].errors.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        shard_cells[shard].fetch_add(1, Ordering::Relaxed);
-        let elapsed = started.elapsed();
-        shard_busy_ns[shard]
-            .fetch_add(elapsed.as_nanos().min(u128::from(u64::MAX)) as u64, Ordering::Relaxed);
-        cell_dur_us.record(elapsed.as_secs_f64() * 1e6);
-        drop(cell_span);
+                // Feed the streaming aggregator.
+                let group = alg_idx * n_alphas + alpha_idx;
+                let (energy_bound, speed_bound) = group_bounds[group];
+                match &result {
+                    Ok(m) => live[group].record_ok(id, m, energy_bound, speed_bound),
+                    Err(_) => {
+                        live[group].errors.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+                shard_cells[shard].fetch_add(1, Ordering::Relaxed);
+                let elapsed = started.elapsed();
+                shard_busy_ns[shard].fetch_add(
+                    elapsed.as_nanos().min(u128::from(u64::MAX)) as u64,
+                    Ordering::Relaxed,
+                );
+                cell_dur_us.record(elapsed.as_secs_f64() * 1e6);
+                drop(cell_span);
 
-        CellRecord { instance: inst_idx, algorithm: alg_idx, alpha: alpha_idx, result }
-    });
+                cells.push(CellRecord {
+                    instance: inst_idx,
+                    algorithm: alg_idx,
+                    alpha: alpha_idx,
+                    result,
+                });
+            }
+            cells
+        });
     let wall = t0.elapsed();
+    let records: Vec<CellRecord> = units.into_iter().flatten().collect();
 
     // Canonical-order finalization: means/percentiles in cell order,
     // exact counters and maxima from the streaming aggregator.
@@ -953,11 +988,16 @@ mod tests {
             assert!(d.min >= 1.0 - 1e-9, "{}: no algorithm beats its baseline", g.algorithm);
         }
         let i = &rep.instrumentation;
+        // One context lookup per solve: no algorithm here plans with α,
+        // so each (instance, algorithm) unit solves once.
         assert_eq!(i.ctx_misses, 6, "one context per instance");
-        assert_eq!(i.ctx_hits, (6 * 3 * 2 - 6) as u64);
-        assert!(i.cache_hit_rate() > 0.5, "hit rate {}", i.cache_hit_rate());
-        // Multi-machine LB: 2 α values per instance, first is a miss.
-        assert_eq!(i.multi_lb_hits + i.multi_lb_misses, 12);
+        assert_eq!(i.ctx_hits, (6 * 3 - 6) as u64);
+        // OPT energy: two single-machine algorithms per (instance, α),
+        // the first a miss.
+        assert_eq!((i.opt_energy_hits, i.opt_energy_misses), (12, 12));
+        // Multi-machine LB: one (m, α) key per cell, each a miss.
+        assert_eq!((i.multi_lb_hits, i.multi_lb_misses), (0, 12));
+        assert_eq!(i.cache_hit_rate(), 24.0 / 54.0);
     }
 
     #[test]
@@ -1046,6 +1086,51 @@ mod tests {
             plain.aggregate_json(),
             "auditing must not perturb aggregate bytes"
         );
+    }
+
+    #[test]
+    fn an_energy_that_overflows_at_one_alpha_fails_that_cell_only() {
+        use qbss_core::model::QJob;
+        use qbss_core::pipeline::run_evaluated;
+        // Work 1e100 in a 1e-6 window: finite energy at α = 2, an
+        // overflow at α = 3. One solve per algorithm serves both cells,
+        // in either α order.
+        let inst = QbssInstance::new(vec![QJob::new(0, 0.0, 1e-6, 1.0, 1e100, 1e100)]);
+        for alphas in [vec![2.0, 3.0], vec![3.0, 2.0]] {
+            let spec = SweepSpec {
+                source: InstanceSource::Explicit(vec![inst.clone()]),
+                algorithms: vec![
+                    Algorithm::Avrq,
+                    Algorithm::Bkpq,
+                    Algorithm::Oaq,
+                    Algorithm::AvrqM { m: 2 },
+                ],
+                alphas,
+                opt_fw_iters: 0,
+            };
+            let rep = run_sweep(&spec, 1).expect("valid spec");
+            assert_eq!(rep.records.len(), 8);
+            for rec in &rep.records {
+                let (alg, alpha) = (spec.algorithms[rec.algorithm], spec.alphas[rec.alpha]);
+                match (&rec.result, run_evaluated(&inst, alpha, alg)) {
+                    (Ok(m), Ok(cold)) => {
+                        assert_eq!(alpha, 2.0, "{alg}");
+                        assert_eq!(m.energy.to_bits(), cold.energy.to_bits(), "{alg}");
+                        assert_eq!(m.peak_speed.to_bits(), cold.max_speed.to_bits(), "{alg}");
+                    }
+                    (Err(e), Err(cold)) => {
+                        assert_eq!(alpha, 3.0, "{alg}");
+                        assert!(matches!(cold, QbssError::NonFiniteCost { .. }), "{alg}: {cold}");
+                        assert_eq!(e, &cold.to_string(), "{alg}");
+                    }
+                    (got, cold) => panic!("{alg} α={alpha}: sweep {got:?}, cold {cold:?}"),
+                }
+            }
+            for alg in &spec.algorithms {
+                assert_eq!(rep.group(*alg, 2.0).map(|g| (g.ok, g.errors)), Some((1, 0)));
+                assert_eq!(rep.group(*alg, 3.0).map(|g| (g.ok, g.errors)), Some((0, 1)));
+            }
+        }
     }
 
     #[test]

@@ -49,8 +49,10 @@ pub fn par_map_seeds<R: Send>(seeds: std::ops::Range<u64>, f: impl Fn(u64) -> R 
 /// counter, so load balances dynamically regardless of how uneven the
 /// per-index cost is. Exactly one worker evaluates each index; `shard`
 /// is the worker's id in `0..shards` (for per-shard instrumentation).
-/// `shards == 0` means `available_parallelism`. Panics in `f` propagate
-/// once the scope joins.
+/// `shards == 0` means `available_parallelism`. Shard 0 runs on the
+/// calling thread and `shards − 1` scoped threads run the rest, so a
+/// one-shard map spawns no thread. Panics in `f` propagate once the
+/// scope joins.
 pub fn par_map_stealing<R: Send>(
     n_items: usize,
     shards: usize,
@@ -66,31 +68,25 @@ pub fn par_map_stealing<R: Send>(
     // Worker threads have empty span stacks; capture the caller's span
     // here so each shard's span stitches into the caller's trace tree.
     let parent = qbss_telemetry::current_span_id();
+    let worker = |shard: usize| {
+        let mut span = qbss_telemetry::span!(parent: parent, "par.shard", { shard = shard });
+        let mut local: Vec<(usize, R)> = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n_items {
+                break;
+            }
+            local.push((i, f(shard, i)));
+        }
+        span.record("items", local.len());
+        local
+    };
     let mut buckets: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..shards)
-            .map(|shard| {
-                let next = &next;
-                let f = &f;
-                scope.spawn(move || {
-                    let mut span =
-                        qbss_telemetry::span!(parent: parent, "par.shard", { shard = shard });
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n_items {
-                            break;
-                        }
-                        local.push((i, f(shard, i)));
-                    }
-                    span.record("items", local.len());
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked; propagating"))
-            .collect()
+        let worker = &worker;
+        let handles: Vec<_> = (1..shards).map(|shard| scope.spawn(move || worker(shard))).collect();
+        let mut buckets = vec![worker(0)];
+        buckets.extend(handles.into_iter().map(|h| h.join().expect("worker panicked; propagating")));
+        buckets
     });
     let mut out: Vec<Option<R>> = Vec::new();
     out.resize_with(n_items, || None);
@@ -136,6 +132,38 @@ mod tests {
             i
         });
         assert!(claims.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn shard_zero_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let on_caller = par_map_stealing(8, 1, |_, _| std::thread::current().id() == caller);
+        assert!(on_caller.iter().all(|&b| b), "one shard spawns no thread");
+        let by_shard = par_map_stealing(64, 3, |shard, _| {
+            (shard, std::thread::current().id() == caller)
+        });
+        assert!(by_shard.iter().all(|&(shard, here)| here == (shard == 0)), "{by_shard:?}");
+    }
+
+    #[test]
+    fn a_worker_panic_propagates_after_the_join() {
+        use std::sync::atomic::AtomicBool;
+        let worker_ran = AtomicBool::new(false);
+        let result = std::panic::catch_unwind(|| {
+            par_map_stealing(2, 2, |shard, i| {
+                if shard != 0 {
+                    worker_ran.store(true, Ordering::Release);
+                    panic!("worker failure");
+                }
+                // Hold the caller's shard until the worker has claimed
+                // the other index, so the worker always runs `f`.
+                while !worker_ran.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                i
+            })
+        });
+        assert!(result.is_err(), "a worker's panic must reach the caller");
     }
 
     #[test]

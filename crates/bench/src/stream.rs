@@ -89,12 +89,9 @@ impl StreamSession {
         let inst = QbssInstance::new(jobs);
         let outcome = solver.finish()?;
         outcome.validate(&inst)?;
-        let energy = outcome.energy(alpha);
-        let max_speed = outcome.max_speed();
-        if !energy.is_finite() || !max_speed.is_finite() {
-            return Err(QbssError::NonFiniteCost { algorithm: outcome.algorithm.clone() });
-        }
-        Ok(Evaluated { outcome, energy, max_speed })
+        let ev = Evaluated::cost(outcome, alpha);
+        ev.gate()?;
+        Ok(ev)
     }
 }
 

@@ -16,7 +16,9 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use qbss_bench::complexity;
 use qbss_bench::engine::{run_sweep, InstanceSource, SweepSpec};
 use qbss_bench::gate::{Gate, WorkMark};
+use qbss_core::online::{bkpq_profile, try_bkpq};
 use qbss_core::pipeline::Algorithm;
+use qbss_core::stream::{arrival_ordered, solver_for};
 use qbss_instances::gen::{generate, GenConfig};
 use qbss_telemetry::{Filter, RingSink, SinkTarget};
 use speed_scaling::job::{Instance, Job};
@@ -85,6 +87,91 @@ fn sweep_counter_totals_are_shard_independent() {
     assert!(!one.is_empty(), "the sweep must move work counters");
     assert_eq!(one, two, "shards=2 must do identical work");
     assert_eq!(one, four, "shards=4 must do identical work");
+}
+
+#[test]
+fn a_sweep_solves_each_alpha_independent_pair_once() {
+    let _guard = lock();
+    let spec = |algorithms: Vec<Algorithm>, alphas: Vec<f64>| SweepSpec {
+        source: InstanceSource::Generated {
+            base: GenConfig::common_deadline(12, 8.0, 0),
+            seeds: 0..3,
+        },
+        algorithms,
+        alphas,
+        opt_fw_iters: 0,
+    };
+    let sweep = |algorithms: Vec<Algorithm>, alphas: Vec<f64>| {
+        work_delta(|| {
+            run_sweep(&spec(algorithms, alphas), 1).expect("valid spec");
+        })
+    };
+    // Every single-machine algorithm: the common-deadline family keeps
+    // the offline ones in scope.
+    let independent = || Algorithm::all(2, 4).into_iter().filter(|a| a.machines() == 1).collect();
+    let one = sweep(independent(), vec![3.0]);
+    let three = sweep(independent(), vec![2.0, 2.5, 3.0]);
+    let solver_work = |d: &BTreeMap<String, u64>| -> BTreeMap<String, u64> {
+        d.iter()
+            .filter(|(name, _)| !name.starts_with("cache.opt_energy."))
+            .map(|(name, &count)| (name.clone(), count))
+            .collect()
+    };
+    assert!(one.get("solver.events").is_some_and(|&n| n > 0), "{one:?}");
+    assert!(one.get("yds.intervals_scanned").is_some_and(|&n| n > 0), "{one:?}");
+    assert_eq!(solver_work(&one), solver_work(&three), "more α must not mean more solves");
+    assert!(three.get("cache.opt_energy.misses") > one.get("cache.opt_energy.misses"));
+
+    // OAQ(m) plans with α: three α are three solves. The three
+    // one-α sweeps build each instance's context three times, the
+    // three-α sweep once.
+    let oaq_m = || vec![Algorithm::OaqM { m: 2, fw_iters: 4 }];
+    let joint = sweep(oaq_m(), vec![2.0, 2.5, 3.0]);
+    let mut separate = BTreeMap::new();
+    for alpha in [2.0, 2.5, 3.0] {
+        for (name, count) in sweep(oaq_m(), vec![alpha]) {
+            *separate.entry(name).or_insert(0) += count;
+        }
+    }
+    let contexts = work_delta(|| {
+        for seed in 0..3 {
+            let _ = generate(&GenConfig::common_deadline(12, 8.0, seed)).opt_cache();
+        }
+    });
+    let mut joint_plus_contexts = joint.clone();
+    for (name, count) in &contexts {
+        *joint_plus_contexts.entry(name.clone()).or_insert(0) += 2 * count;
+    }
+    assert!(joint.get("fw.iterations").is_some_and(|&n| n > 0), "{joint:?}");
+    assert_eq!(joint_plus_contexts, separate, "OAQ(m) solves once per α");
+}
+
+#[test]
+fn batch_bkpq_probes_only_in_its_finish() {
+    let _guard = lock();
+    let n = 40;
+    let inst = generate(&GenConfig::online_default(n, 3));
+    let queries = |d: &BTreeMap<String, u64>| d.get("bkp.intensity_queries").copied();
+    let batch = work_delta(|| {
+        try_bkpq(&inst).expect("bkpq runs");
+    });
+    // BKP on the derived instance: a probe-free feed, then one query per
+    // grid midpoint.
+    let finish = work_delta(|| {
+        let _ = bkpq_profile(&inst);
+    });
+    assert!(queries(&finish).is_some_and(|q| q > 0), "{finish:?}");
+    assert_eq!(queries(&batch), queries(&finish), "the batch feed must not probe");
+    // A session still answers each arrival with a speed delta: two
+    // probes per arrival, bar the first arrival's probe of an empty view.
+    let session = work_delta(|| {
+        let mut solver = solver_for(Algorithm::Bkpq).expect("bkpq streams");
+        for job in arrival_ordered(&inst) {
+            solver.on_arrival(job).expect("in-order feed");
+        }
+        solver.finish().expect("outcome");
+    });
+    assert_eq!(queries(&session), queries(&batch).map(|q| q + 2 * n as u64 - 1));
 }
 
 #[test]

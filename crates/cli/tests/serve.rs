@@ -15,9 +15,29 @@ use qbss_core::model::{QJob, QbssInstance};
 use qbss_instances::corrupt::{Corruptor, Mutation};
 use qbss_instances::io;
 
-/// Starts `qbss serve` on an ephemeral port and returns the child plus
+/// A running `qbss serve`. Dropping it kills and reaps the process, so
+/// a test that fails before its drain leaves no server behind;
+/// [`wait_exit`] takes the process out to check a clean drain.
+struct Server(Option<Child>);
+
+impl Server {
+    fn id(&self) -> u32 {
+        self.0.as_ref().expect("the server is still running").id()
+    }
+}
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        if let Some(mut child) = self.0.take() {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
+/// Starts `qbss serve` on an ephemeral port and returns the server plus
 /// the bound address parsed from the stderr banner.
-fn start_server(extra: &[&str]) -> (Child, String) {
+fn start_server(extra: &[&str]) -> (Server, String) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_qbss"));
     cmd.args(["serve", "--addr", "127.0.0.1:0", "--workers", "2"])
         .args(extra)
@@ -26,6 +46,7 @@ fn start_server(extra: &[&str]) -> (Child, String) {
         .stderr(Stdio::piped());
     let mut child = cmd.spawn().expect("server spawns");
     let stderr = child.stderr.take().expect("stderr piped");
+    let server = Server(Some(child));
     let mut reader = BufReader::new(stderr);
     let mut banner = String::new();
     reader.read_line(&mut banner).expect("stderr banner");
@@ -42,7 +63,7 @@ fn start_server(extra: &[&str]) -> (Child, String) {
         let mut sink = String::new();
         let _ = reader.read_to_string(&mut sink);
     });
-    (child, addr)
+    (server, addr)
 }
 
 /// One HTTP/1.1 request over a fresh connection; returns status,
@@ -85,15 +106,16 @@ fn wait_ready(addr: &str) {
     }
 }
 
-fn sigterm(child: &Child) {
+fn sigterm(server: &Server) {
     let status = Command::new("kill")
-        .args(["-TERM", &child.id().to_string()])
+        .args(["-TERM", &server.id().to_string()])
         .status()
         .expect("kill runs");
     assert!(status.success(), "kill -TERM failed");
 }
 
-fn wait_exit(mut child: Child) -> Option<i32> {
+fn wait_exit(mut server: Server) -> Option<i32> {
+    let mut child = server.0.take().expect("the server is still running");
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
         if let Some(status) = child.try_wait().expect("try_wait") {
@@ -101,6 +123,7 @@ fn wait_exit(mut child: Child) -> Option<i32> {
         }
         if Instant::now() >= deadline {
             let _ = child.kill();
+            let _ = child.wait();
             panic!("server did not exit after SIGTERM");
         }
         std::thread::sleep(Duration::from_millis(25));
@@ -768,6 +791,27 @@ fn streaming_sessions_run_end_to_end_and_match_evaluate() {
 
     sigterm(&child);
     assert_eq!(wait_exit(child), Some(0));
+}
+
+/// A test that fails between `start_server` and its drain leaves no
+/// `qbss serve` running: the guard kills and reaps it while unwinding.
+#[test]
+fn a_panicking_test_leaves_no_server_behind() {
+    let mut pid = None;
+    let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let (server, addr) = start_server(&[]);
+        pid = Some(server.id());
+        wait_ready(&addr);
+        panic!("a failing assertion while the server runs");
+    }));
+    assert!(failed.is_err());
+    let pid = pid.expect("the server started").to_string();
+    let alive = Command::new("kill")
+        .args(["-0", &pid])
+        .stderr(Stdio::null())
+        .status()
+        .expect("kill runs");
+    assert!(!alive.success(), "qbss serve {pid} outlived the failed test");
 }
 
 /// SIGTERM with a session mid-stream: the drain discards the open

@@ -77,7 +77,7 @@ pub use error::{AlgorithmError, ModelError, ModelErrorKind, QbssError, Validatio
 pub use model::{QJob, QbssInstance, VisibleJob};
 pub use outcome::QbssOutcome;
 pub use pipeline::{
-    run_audited, run_checked, run_evaluated, run_for_request, Algorithm, Evaluated,
+    run_audited, run_checked, run_evaluated, run_for_request, solve, Algorithm, Evaluated,
     ParseAlgorithmError,
 };
 pub use policy::{OnlinePolicy, QueryRule, SplitRule, Strategy, INV_PHI, PHI};

@@ -7,7 +7,9 @@
 //! outcome comes back as a typed [`QbssError`] instead of a panic. The
 //! produced outcome is re-validated against the instance and non-finite
 //! costs are rejected, so a caller that gets `Ok` holds a structurally
-//! sound, finite-cost schedule.
+//! sound, finite-cost schedule. The batch engine drives the two steps
+//! separately, [`solve`] and [`Evaluated::gate`], so it can cost one
+//! solve at every `α` of a sweep.
 //!
 //! [`Algorithm`] is the single dispatch point of the workspace: every
 //! runnable configuration is one enum value, the full set is enumerable
@@ -122,6 +124,13 @@ impl Algorithm {
         }
     }
 
+    /// Whether the schedule depends on the power exponent: only OAQ(m)
+    /// plans with `α`. Every other configuration's outcome is the same
+    /// at any `α`, so it is solved once and costed at each.
+    pub fn plans_with_alpha(&self) -> bool {
+        matches!(self, Algorithm::OaqM { .. })
+    }
+
     /// Every runnable configuration: the six single-machine algorithms
     /// plus the three multi-machine ones at machine count `m` (OAQ(m)
     /// with `fw_iters` planning iterations). This is the one algorithm
@@ -228,30 +237,58 @@ impl FromStr for Algorithm {
     }
 }
 
-/// An outcome bundled with its already-computed costs at one `α`.
+/// An outcome bundled with its costs at one `α`.
 ///
-/// [`run_checked`] must integrate energy and scan the peak speed anyway
-/// for its finiteness gate; returning them here lets callers (the CLI,
-/// the sweep engine) reuse those numbers instead of re-integrating the
-/// schedule per cell.
+/// The checked pipeline runs in two steps: [`solve`] validates the
+/// input, runs the algorithm, validates the outcome and costs it at the
+/// `α` it was given; [`Evaluated::gate`] then rejects non-finite costs.
+/// [`run_evaluated`] is the two in sequence. Only the energy depends on
+/// `α`, so a caller that needs one outcome at several exponents re-costs
+/// it in place ([`Evaluated::recost`]) and gates each, instead of
+/// solving again: the sweep engine does so for every algorithm that does
+/// not [plan with `α`](Algorithm::plans_with_alpha).
 #[derive(Debug, Clone)]
 pub struct Evaluated {
     /// The validated outcome.
     pub outcome: QbssOutcome,
-    /// `outcome.energy(alpha)` for the `alpha` the run was checked at.
+    /// `outcome.energy(alpha)` for the `alpha` it was last costed at.
     pub energy: f64,
     /// `outcome.max_speed()`.
     pub max_speed: f64,
 }
 
-/// Runs `algorithm` on `inst` with every guard engaged (see module
-/// docs). `alpha` is the power exponent used both by planning
-/// algorithms that need it (OA(m)) and by the final finiteness check.
-///
-/// Returns the outcome together with the energy and peak speed the
-/// finiteness gate already computed, so callers never pay a second
-/// schedule integration for numbers this function has in hand.
-pub fn run_evaluated(
+impl Evaluated {
+    /// Costs `outcome` at `alpha`: its energy there and its peak speed.
+    /// The costs are not gated yet; see [`Evaluated::gate`].
+    pub fn cost(outcome: QbssOutcome, alpha: f64) -> Self {
+        let energy = outcome.energy(alpha);
+        let max_speed = outcome.max_speed();
+        Self { outcome, energy, max_speed }
+    }
+
+    /// Re-costs the held outcome at `alpha` in place. The peak speed does
+    /// not depend on `α` and is kept.
+    pub fn recost(&mut self, alpha: f64) {
+        self.energy = self.outcome.energy(alpha);
+    }
+
+    /// The finiteness gate: a non-finite energy or peak speed is
+    /// [`QbssError::NonFiniteCost`].
+    pub fn gate(&self) -> Result<(), QbssError> {
+        if self.energy.is_finite() && self.max_speed.is_finite() {
+            Ok(())
+        } else {
+            Err(QbssError::NonFiniteCost { algorithm: self.outcome.algorithm.clone() })
+        }
+    }
+}
+
+/// The solve step of the checked pipeline (see module docs): checks
+/// `alpha` and `inst`, runs `algorithm` under a `pipeline.run` span and
+/// validates the outcome, which comes back costed at `alpha` but not yet
+/// gated. `alpha` reaches the run only for algorithms that
+/// [plan with it](Algorithm::plans_with_alpha).
+pub fn solve(
     inst: &QbssInstance,
     alpha: f64,
     algorithm: Algorithm,
@@ -299,14 +336,28 @@ pub fn run_evaluated(
             );
         }
     }
-    let energy = outcome.energy(alpha);
-    let max_speed = outcome.max_speed();
-    if !energy.is_finite() || !max_speed.is_finite() {
-        return Err(QbssError::NonFiniteCost { algorithm: outcome.algorithm.clone() });
-    }
-    span.record("queried", outcome.decisions.iter().filter(|d| d.queried).count());
-    span.record("energy", energy);
-    Ok(Evaluated { outcome, energy, max_speed })
+    let ev = Evaluated::cost(outcome, alpha);
+    span.record("queried", ev.outcome.decisions.iter().filter(|d| d.queried).count());
+    span.record("energy", ev.energy);
+    Ok(ev)
+}
+
+/// Runs `algorithm` on `inst` with every guard engaged (see module
+/// docs): [`solve`], then [`Evaluated::gate`]. `alpha` is the power
+/// exponent used both by planning algorithms that need it (OA(m)) and by
+/// the final finiteness check.
+///
+/// Returns the outcome together with the energy and peak speed the
+/// finiteness gate already computed, so callers never pay a second
+/// schedule integration for numbers this function has in hand.
+pub fn run_evaluated(
+    inst: &QbssInstance,
+    alpha: f64,
+    algorithm: Algorithm,
+) -> Result<Evaluated, QbssError> {
+    let ev = solve(inst, alpha, algorithm)?;
+    ev.gate()?;
+    Ok(ev)
 }
 
 /// [`run_evaluated`] with the runtime invariant auditor engaged: after
@@ -461,6 +512,42 @@ mod tests {
         let ev = run_evaluated(&inst, 3.0, Algorithm::Bkpq).expect("valid instance");
         assert_eq!(ev.energy.to_bits(), ev.outcome.energy(3.0).to_bits());
         assert_eq!(ev.max_speed.to_bits(), ev.outcome.max_speed().to_bits());
+    }
+
+    #[test]
+    fn recosting_one_solve_equals_a_run_at_each_alpha() {
+        let inst = online_instance();
+        for alg in Algorithm::all(2, 4).into_iter().filter(|a| !a.plans_with_alpha()) {
+            let Ok(mut held) = solve(&inst, 2.0, alg) else { continue };
+            for alpha in [2.0, 2.5, 3.0] {
+                held.recost(alpha);
+                held.gate().expect("finite costs");
+                let cold = run_evaluated(&inst, alpha, alg).expect("cold run");
+                assert_eq!(held.energy.to_bits(), cold.energy.to_bits(), "{alg} α={alpha}");
+                assert_eq!(held.max_speed.to_bits(), cold.max_speed.to_bits(), "{alg}");
+            }
+        }
+        let planned: Vec<Algorithm> =
+            Algorithm::all(2, 4).into_iter().filter(Algorithm::plans_with_alpha).collect();
+        assert_eq!(planned, vec![Algorithm::OaqM { m: 2, fw_iters: 4 }]);
+    }
+
+    #[test]
+    fn the_gate_rejects_an_energy_that_overflows_at_one_alpha_only() {
+        // Work 1e100 (the model's largest magnitude) in a 1e-6 window:
+        // density 2e106 after the midpoint split, so the energy is about
+        // 2e206 at α = 2 and overflows at α = 3.
+        let inst = QbssInstance::new(vec![QJob::new(0, 0.0, 1e-6, 1.0, 1e100, 1e100)]);
+        let mut held = solve(&inst, 2.0, Algorithm::Avrq).expect("solves");
+        held.gate().expect("finite at α = 2");
+        held.recost(3.0);
+        assert!(matches!(held.gate(), Err(QbssError::NonFiniteCost { .. })));
+        assert!(matches!(
+            run_evaluated(&inst, 3.0, Algorithm::Avrq),
+            Err(QbssError::NonFiniteCost { .. })
+        ));
+        held.recost(2.0);
+        held.gate().expect("the outcome survives a failed gate");
     }
 
     #[test]

@@ -143,6 +143,13 @@ impl From<ModelError> for StreamError {
     }
 }
 
+/// An arrival that passed [`StreamingSolver::admit`], with the split
+/// its policy chose (`None`: not queried).
+struct Admitted {
+    job: QJob,
+    split: Option<f64>,
+}
+
 /// The classical substrate a [`StreamingSolver`] drives.
 enum Substrate {
     Avr(AvrStream),
@@ -324,6 +331,20 @@ impl StreamingSolver {
     /// non-decreasing release order. Returns the speed change at the
     /// arrival instant; a rejected arrival leaves the solver unchanged.
     pub fn on_arrival(&mut self, job: QJob) -> Result<SpeedDelta, StreamError> {
+        let arrival = self.admit(job)?;
+        let t = arrival.job.release;
+        self.flush_pending(t);
+        let before = self.substrate.speed_after(t);
+        self.apply(arrival);
+        let after = self.substrate.speed_after(t);
+        Ok(SpeedDelta { at: t, before, after })
+    }
+
+    /// The checks and the decision of an arrival, before any state
+    /// changes: the job's model constraints, its order against the
+    /// clock, a repeated id, and the policy's split, which must fall
+    /// inside the job's open window.
+    fn admit(&mut self, job: QJob) -> Result<Admitted, StreamError> {
         let algorithm = self.algorithm.name();
         job.validate()?;
         if job.release + EPS < self.clock {
@@ -332,14 +353,18 @@ impl StreamingSolver {
         if self.seen.contains(&job.id) {
             return Err(StreamError::DuplicateJob { algorithm, job: job.id });
         }
-        // Decide before touching any stream state so a rejected split
-        // leaves the solver exactly as it was.
         let split = self.policy.decide(&job.visible());
         if let Some(tau) = split {
             if !(tau > job.release + EPS && tau < job.deadline - EPS) {
                 return Err(StreamError::SplitOutsideWindow { algorithm, job: job.id, tau });
             }
         }
+        Ok(Admitted { job, split })
+    }
+
+    /// Feeds an admitted arrival to the substrate and records it. The
+    /// caller releases the exact parts due by its release first.
+    fn apply(&mut self, Admitted { job, split }: Admitted) {
         let t = job.release;
         qbss_telemetry::counter!("solver.events").inc();
         let _span = qbss_telemetry::span!("solver.event", {
@@ -348,8 +373,6 @@ impl StreamingSolver {
             queried = split.is_some(),
         });
         self.seen.insert(job.id);
-        self.flush_pending(t);
-        let before = self.substrate.speed_after(t);
         let decision = match split {
             Some(tau) => {
                 self.substrate.on_arrival(Job::new(job.id, t, tau, job.query_load));
@@ -366,12 +389,10 @@ impl StreamingSolver {
                 Decision::no_query(job.id)
             }
         };
-        let after = self.substrate.speed_after(t);
         self.clock = self.clock.max(t);
         self.events += 1;
         self.jobs.push(job);
         self.decisions.push(decision);
-        Ok(SpeedDelta { at: t, before, after })
     }
 
     /// Advances the stream clock to `t` with no arrival: releases the
@@ -442,14 +463,17 @@ pub fn arrival_ordered(inst: &QbssInstance) -> Vec<QJob> {
 /// Validates `inst`, feeds it in canonical arrival order and finishes —
 /// the adapter the batch `try_*` entry points are built on. A split the
 /// policy places outside a job's window is
-/// [`AlgorithmError::Inconsistent`].
+/// [`AlgorithmError::Inconsistent`]. The feed skips the two speed probes
+/// of [`StreamingSolver::on_arrival`]: a [`SpeedDelta`] is a session
+/// answer, and the probes never change the substrate, so the outcome is
+/// the same bits a session feeding this order gets.
 pub(crate) fn batch_outcome(
     mut solver: StreamingSolver,
     inst: &QbssInstance,
 ) -> Result<QbssOutcome, AlgorithmError> {
     inst.validate()?;
     for job in arrival_ordered(inst) {
-        solver.on_arrival(job).map_err(|e| match e {
+        let arrival = solver.admit(job).map_err(|e| match e {
             StreamError::SplitOutsideWindow { algorithm, job: id, tau } => {
                 AlgorithmError::Inconsistent {
                     algorithm,
@@ -463,6 +487,8 @@ pub(crate) fn batch_outcome(
             }
             other => unreachable!("sorted feed of a validated instance cannot fail: {other}"),
         })?;
+        solver.flush_pending(arrival.job.release);
+        solver.apply(arrival);
     }
     solver.finish()
 }
