@@ -60,7 +60,7 @@ use qbss_core::pipeline::{solve, Algorithm, Evaluated};
 use qbss_instances::gen::{generate, GenConfig};
 use qbss_telemetry::{Registry, DURATION_US_BOUNDS};
 use speed_scaling::cache::OptCache;
-use speed_scaling::multi::{multi_opt_frank_wolfe, opt_lower_bound};
+use speed_scaling::multi::{multi_opt_frank_wolfe, opt_lower_bound_from};
 
 /// Numeric slack for bound-violation counting, matching
 /// [`crate::ensemble::check_bound`].
@@ -195,7 +195,8 @@ impl InstanceCtx {
     }
 
     /// Certified lower bound on the `m`-machine clairvoyant optimum at
-    /// `alpha`; memoized. Returns `(value, was_cache_hit)`.
+    /// `alpha`; memoized. The fluid bound reads the context's YDS
+    /// profile. Returns `(value, was_cache_hit)`.
     fn multi_lower_bound(&self, m: usize, alpha: f64, fw_iters: usize) -> (f64, bool) {
         let key = (m, alpha.to_bits());
         let mut memo =
@@ -204,7 +205,7 @@ impl InstanceCtx {
             return (lb, true);
         }
         let clair = self.inst.clairvoyant_instance();
-        let mut lb = opt_lower_bound(&clair, m, alpha);
+        let mut lb = opt_lower_bound_from(&clair, self.opt.profile(), m, alpha);
         if fw_iters > 0 {
             lb = lb.max(multi_opt_frank_wolfe(&clair, m, alpha, fw_iters).lower_bound());
         }

@@ -22,6 +22,7 @@ use qbss_core::stream::{arrival_ordered, solver_for};
 use qbss_instances::gen::{generate, GenConfig};
 use qbss_telemetry::{Filter, RingSink, SinkTarget};
 use speed_scaling::job::{Instance, Job};
+use speed_scaling::multi::multi_opt_frank_wolfe;
 use speed_scaling::oa::oa_profile;
 use speed_scaling::stream::{release_ordered, OaStream};
 
@@ -172,6 +173,26 @@ fn batch_bkpq_probes_only_in_its_finish() {
         solver.finish().expect("outcome");
     });
     assert_eq!(queries(&session), queries(&batch).map(|q| q + 2 * n as u64 - 1));
+}
+
+#[test]
+fn frank_wolfe_line_searches_cost_a_few_gradient_passes() {
+    let _guard = lock();
+    // Table 1's multi-machine certificate: the clairvoyant online
+    // instance at n = 24, m = 3, eight iterations, α ∈ {2, 3}.
+    let work = work_delta(|| {
+        for seed in 0..4 {
+            let clair = generate(&GenConfig::online_default(24, seed)).clairvoyant_instance();
+            for alpha in [2.0, 3.0] {
+                let _ = multi_opt_frank_wolfe(&clair, 3, alpha, 8);
+            }
+        }
+    });
+    let count = |name: &str| work.get(name).copied().unwrap_or(0);
+    assert!(count("fw.gradient_evals") > 0, "{work:?}");
+    // Golden section made 51 energy evaluations per step, one interval
+    // pass each; the slope search makes about ten.
+    assert!(count("fw.line_evals") <= 16 * count("fw.gradient_evals"), "{work:?}");
 }
 
 #[test]

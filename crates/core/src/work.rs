@@ -83,7 +83,7 @@ pub const WORK_COUNTERS: &[WorkCounter] = &[
     ),
     (
         "fw.line_evals",
-        "per-interval energy evaluation inside one Frank-Wolfe line search",
+        "per-interval energy or slope evaluation inside one Frank-Wolfe line search",
     ),
     (
         "oa.hull_pops",

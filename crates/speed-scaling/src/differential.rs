@@ -1,13 +1,17 @@
 //! Differential tests: [`edf_schedule`] and [`Schedule::check`] against
 //! the quadratic versions they replaced, [`yds_profile`] against the
 //! full rescan it replaced, [`BkpStream`] against a re-sort and full
-//! sweep per query, and [`multi_opt_frank_wolfe`] against the dense
-//! solver, on seeded instances shaped like each generator family. Each
-//! pair must agree bit for bit: the same slices, the same deadline miss,
-//! the same first violation, the same profile, the same certificate.
+//! sweep per query, [`AvrStream`]'s probes against a scan of every
+//! arrival, and [`multi_opt_frank_wolfe`] against the dense solver, on
+//! seeded instances shaped like each generator family. Each pair must
+//! agree bit for bit: the same slices, the same deadline miss, the same
+//! first violation, the same profile, the same speed, the same
+//! certificate. Frank–Wolfe's slope search is also held to the golden
+//! section it replaced, step by step, and its certificate to OPT.
 //!
-//! The tests named `*_at_scale` repeat the BKP and Frank–Wolfe checks on
-//! larger instances; they are `#[ignore]`d, for a release build:
+//! The tests named `*_at_scale` repeat the BKP, AVR and Frank–Wolfe
+//! checks on larger instances; they are `#[ignore]`d, for a release
+//! build:
 //! `cargo test --release -p speed-scaling --lib differential -- --ignored`.
 
 use std::collections::BTreeSet;
@@ -21,11 +25,11 @@ use crate::edf::{edf_schedule, reference_edf_schedule, EdfInfeasible, EdfTask};
 use crate::job::{Instance, Job};
 use crate::multi::avr_m::avr_m;
 use crate::multi::multi_opt_frank_wolfe;
-use crate::multi::opt::{reference, FwSolution};
+use crate::multi::opt::{frank_wolfe, golden_min01, line_search, reference, FwSolution};
 use crate::oa::oa_profile;
 use crate::profile::SpeedProfile;
 use crate::schedule::{Schedule, ScheduleError, Slice, WorkRequirement};
-use crate::stream::{release_ordered, BkpStream};
+use crate::stream::{release_ordered, AvrStream, BkpStream};
 use crate::time::EPS;
 use crate::yds::{reference_yds_profile, verify_optimality_certificate, yds, yds_profile};
 
@@ -486,6 +490,81 @@ fn bkp_stream_matches_the_reference_on_a_creeping_feed() {
     assert_eq!(profile_bits(&stream.finish()), profile_bits(&stream.reference_finish()));
 }
 
+/// Feeds `inst` in arrival order into an [`AvrStream`] and holds every
+/// probe to the reference scan, bit for bit: at each arrival's release
+/// just before and just after it joins, at an earlier arrival's release
+/// (which the stream answers by the full scan), midway between the two,
+/// a unit before the release, and at both jobs' deadlines.
+fn avr_against_the_reference(inst: &Instance, label: &str) {
+    let jobs = release_ordered(inst);
+    let mut stream = AvrStream::new();
+    let same = |s: &AvrStream, t: f64, what: &str| {
+        let (fast, slow) = (s.speed_after(t), s.reference_speed_after(t));
+        assert_eq!(fast.to_bits(), slow.to_bits(), "{label}: {what} at t = {t}");
+    };
+    for (i, job) in jobs.iter().enumerate() {
+        same(&stream, job.release, &format!("before arrival {i}"));
+        stream.on_arrival(*job);
+        same(&stream, job.release, &format!("after arrival {i}"));
+        let earlier = jobs[i / 2];
+        same(&stream, earlier.release, &format!("arrival {}'s release after {i}", i / 2));
+        same(&stream, 0.5 * (earlier.release + job.release), &format!("midway after {i}"));
+        same(&stream, job.release - 1.0, &format!("before arrival {i}'s release"));
+        same(&stream, earlier.deadline, &format!("arrival {}'s deadline after {i}", i / 2));
+        same(&stream, job.deadline, &format!("arrival {i}'s deadline"));
+    }
+}
+
+fn avr_suite(sizes: &[usize], seeds: u64) {
+    for family in YDS_FAMILIES {
+        for &n in sizes {
+            for seed in 0..seeds {
+                for split in [true, false] {
+                    let inst = instance(family, n, 1000 * n as u64 + seed, split);
+                    let label = format!("{family:?} n={n} seed={seed} split={split}");
+                    avr_against_the_reference(&inst, &label);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn avr_stream_matches_the_reference_bit_for_bit() {
+    avr_suite(&[1, 2, 5, 12, 30, 60], 4);
+}
+
+#[test]
+#[ignore = "release-mode scale check"]
+fn avr_stream_matches_the_reference_bit_for_bit_at_scale() {
+    avr_suite(&[400, 800], 2);
+}
+
+#[test]
+fn avr_stream_matches_the_reference_on_a_creeping_feed() {
+    // Each release is less than EPS below the previous one: the live
+    // list stays pruned to the first, highest release, so probes at the
+    // later ones scan every arrival, and job 6, whose deadline is within
+    // EPS of that release, never joins the list.
+    let e = EPS;
+    let jobs = [
+        Job::new(0, 0.0, 10.0 - 1.2 * e, 1.0),
+        Job::new(1, 10.0, 12.0, 2.0),
+        Job::new(2, 10.0 - 0.9 * e, 11.0, 1.5),
+        Job::new(3, 10.0 - 1.8 * e, 13.0, 0.5),
+        Job::new(4, 10.0 - 2.7 * e, 10.0 - 1.65 * e, 0.25),
+        Job::new(5, 10.0 - 2.7 * e, 14.0, 1.0),
+        Job::new(6, 10.0 - 2.7 * e, 10.0 + 0.5 * e, 1.0),
+    ];
+    let mut stream = AvrStream::new();
+    for job in jobs {
+        stream.on_arrival(job);
+        for t in [job.release, job.deadline, 10.0 - 1.0 * e, 10.0, 10.0 + 0.5 * e, 10.5, 11.5] {
+            assert_eq!(stream.speed_after(t).to_bits(), stream.reference_speed_after(t).to_bits());
+        }
+    }
+}
+
 type FwBits = (u64, u64, usize, Vec<(u64, u64)>, Vec<Vec<u64>>);
 
 fn fw_bits(fw: &FwSolution) -> FwBits {
@@ -532,4 +611,69 @@ fn frank_wolfe_matches_the_dense_reference_bit_for_bit() {
 #[ignore = "release-mode scale check"]
 fn frank_wolfe_matches_the_dense_reference_bit_for_bit_at_scale() {
     fw_suite(&[24, 48], 1, &[1, 8, 40]);
+}
+
+/// Runs golden section beside the slope search on every segment FW
+/// visits, on the eight families, and holds each step's energy to
+/// golden section's on the same segment.
+#[test]
+fn the_slope_search_steps_at_least_as_low_as_golden_section() {
+    for family in YDS_FAMILIES {
+        // Crowded event times put EPS-wide intervals on the grid, where
+        // the slope is a sum of large cancelling terms near γ = 0.
+        let tolerance = if matches!(family, Family::Crowded) { 1e-9 } else { 1e-12 };
+        let mut steps = 0;
+        for n in [3, 6, 12] {
+            for split in [true, false] {
+                let inst = instance(family, n, 1000 * n as u64, split);
+                for m in [1, 2, 3, 5] {
+                    for alpha in [2.0, 2.5, 3.0] {
+                        let label = format!("{family:?} n={n} split={split} m={m} α={alpha}");
+                        frank_wolfe(&inst, m, alpha, 40, |segment, slope0| {
+                            let (gamma, val) = line_search(segment, slope0);
+                            let (_, golden) = golden_min01(&mut |gamma| segment.energy(gamma));
+                            let excess = (val - golden) / golden;
+                            assert!(
+                                excess <= tolerance,
+                                "{label}: {excess:e} above golden section at γ = {gamma:e}"
+                            );
+                            steps += 1;
+                            (gamma, val)
+                        });
+                    }
+                }
+            }
+        }
+        // Unit windows hold each job in one interval: FW starts optimal.
+        assert!(steps > 0 || matches!(family, Family::UnitWindows), "{family:?} took no step");
+    }
+}
+
+#[test]
+fn the_frank_wolfe_certificate_stays_below_opt() {
+    for family in YDS_FAMILIES {
+        for n in [3, 12] {
+            for split in [true, false] {
+                let inst = instance(family, n, 1000 * n as u64 + 1, split);
+                let label = format!("{family:?} n={n} split={split}");
+                for alpha in [2.0, 2.5, 3.0] {
+                    let opt = yds_profile(&inst).energy(alpha);
+                    for m in [1, 2, 3, 5] {
+                        // AVR(m) is feasible, and optimal on a common
+                        // deadline, where FW's first placement is AVR(m)'s
+                        // and the two energies differ in rounding only.
+                        let above = if m == 1 { opt } else { avr_m(&inst, m).energy(alpha) };
+                        for iters in [1, 8, 40] {
+                            let lb = multi_opt_frank_wolfe(&inst, m, alpha, iters).lower_bound();
+                            let setting = format!("m={m} α={alpha} iters={iters}");
+                            assert!(
+                                lb <= above * (1.0 + 1e-9),
+                                "{label} {setting}: {lb} > {above}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 }

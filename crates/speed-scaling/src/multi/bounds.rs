@@ -19,12 +19,18 @@
 //!    lower bound.
 
 use crate::job::Instance;
+use crate::profile::SpeedProfile;
 use crate::yds::yds_profile;
 
 /// Fluid-relaxation lower bound `m^{1−α} · E_{YDS}(instance)`.
 pub fn fluid_lower_bound(instance: &Instance, m: usize, alpha: f64) -> f64 {
+    fluid_bound(&yds_profile(instance), m, alpha)
+}
+
+/// The fluid bound from the instance's YDS profile `opt`.
+fn fluid_bound(opt: &SpeedProfile, m: usize, alpha: f64) -> f64 {
     assert!(m >= 1);
-    (m as f64).powf(1.0 - alpha) * yds_profile(instance).energy(alpha)
+    (m as f64).powf(1.0 - alpha) * opt.energy(alpha)
 }
 
 /// Per-job convexity lower bound `Σ_j δ_j^α (d_j − r_j)`.
@@ -38,7 +44,14 @@ pub fn per_job_lower_bound(instance: &Instance, alpha: f64) -> f64 {
 
 /// The better (larger) of the two lower bounds.
 pub fn opt_lower_bound(instance: &Instance, m: usize, alpha: f64) -> f64 {
-    fluid_lower_bound(instance, m, alpha).max(per_job_lower_bound(instance, alpha))
+    opt_lower_bound_from(instance, &yds_profile(instance), m, alpha)
+}
+
+/// [`opt_lower_bound`] for a caller that holds the instance's YDS
+/// profile `opt` (a sweep's `OptCache`): the same bits, without
+/// re-solving YDS.
+pub fn opt_lower_bound_from(instance: &Instance, opt: &SpeedProfile, m: usize, alpha: f64) -> f64 {
+    fluid_bound(opt, m, alpha).max(per_job_lower_bound(instance, alpha))
 }
 
 #[cfg(test)]

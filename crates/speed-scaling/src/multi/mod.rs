@@ -28,7 +28,7 @@ pub mod opt;
 
 pub use assign::mcnaughton;
 pub use avr_m::{avr_m, machine_speeds_for_densities, AvrMResult};
-pub use bounds::{fluid_lower_bound, opt_lower_bound, per_job_lower_bound};
+pub use bounds::{fluid_lower_bound, opt_lower_bound, opt_lower_bound_from, per_job_lower_bound};
 pub use nonmig::{avr_m_nonmig, NonMigResult};
 pub use oa_m::{oa_m, OaMResult};
 pub use opt::{multi_opt_frank_wolfe, FwSolution};

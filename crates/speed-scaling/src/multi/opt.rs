@@ -30,8 +30,18 @@
 //! Only the `(j, k)` pairs with interval `k` inside job `j`'s window can
 //! hold work, so the solver stores one entry per such pair (`P` in all)
 //! rather than the dense intervals × jobs matrix: an energy evaluation
-//! or a gradient pass costs `O(P log P)`, and the line search's 51
-//! evaluations per iteration reuse one set of per-interval buffers.
+//! or a gradient pass costs `O(P log P)`, on one set of reused
+//! per-interval buffers.
+//!
+//! Each step's line search is exact on the slope: the energy along the
+//! segment, `φ(γ) = E(x + γ(s − x))`, is convex, so its minimum over
+//! `[0, 1]` is the full step or the root of `φ'`. A slope is one gradient
+//! pass, `φ'(γ) = Σ_k Σ_{e∈k} ∂E_k/∂y_e · (s_e − x_e)` (one `powf` per
+//! entry, against two for an energy), and `φ'(0) = −gap` comes free with
+//! the linear oracle. A step takes one slope at `γ = 1`, a bracketing
+//! root search when that slope is positive (six to eight slopes on the
+//! experiment instances), and one energy at the root: eight to ten
+//! evaluations, where golden section took 51.
 
 use crate::job::{Instance, Job};
 use crate::time::{dedup_times, EPS};
@@ -282,13 +292,16 @@ impl Windows {
 }
 
 /// Solves the migratory multi-machine energy minimization by
-/// Frank–Wolfe with exact golden-section line search. `iters` in the
+/// Frank–Wolfe with an exact line search on the slope. `iters` in the
 /// low hundreds certifies gaps of a few percent on the experiment
 /// instances; the returned [`FwSolution::lower_bound`] is always a
 /// valid lower bound on OPT regardless of convergence.
 ///
-/// Each iteration is one gradient pass and 51 energy evaluations over
-/// the `P` window entries (see the module doc), `O(P log P)` apiece.
+/// Each iteration is one gradient pass and one line search over the `P`
+/// window entries (see the module doc): a slope at `γ = 1`, up to 49
+/// more while bracketing the slope's root (six to eight on the
+/// experiment instances), and an energy at the step taken, `O(P log P)`
+/// apiece.
 ///
 /// ```
 /// use speed_scaling::job::{Instance, Job};
@@ -307,6 +320,20 @@ pub fn multi_opt_frank_wolfe(
     m: usize,
     alpha: f64,
     iters: usize,
+) -> FwSolution {
+    frank_wolfe(instance, m, alpha, iters, line_search)
+}
+
+/// [`multi_opt_frank_wolfe`] with the line search as a parameter:
+/// `search(segment, φ'(0))` returns the step `γ` and the energy there.
+/// Tests pass a search that also runs golden section on each segment
+/// the solver visits.
+pub(crate) fn frank_wolfe(
+    instance: &Instance,
+    m: usize,
+    alpha: f64,
+    iters: usize,
+    mut search: impl FnMut(&mut Segment, f64) -> (f64, f64),
 ) -> FwSolution {
     assert!(m >= 1 && alpha > 1.0);
     let jobs = &instance.jobs;
@@ -367,12 +394,18 @@ pub fn multi_opt_frank_wolfe(
         if gap <= 1e-9 * energy.max(1.0) {
             break;
         }
-        // Exact line search on the segment x + γ(s − x), γ ∈ [0, 1].
-        let mut eval = |gamma: f64| -> f64 {
-            fw_line_evals += nk as u64;
-            windows.energy(|e| (1.0 - gamma) * x[e] + gamma * s[e], m, alpha, &mut inner)
+        // Exact line search on the segment x + γ(s − x), γ ∈ [0, 1],
+        // whose slope at 0 is −gap.
+        let mut segment = Segment {
+            windows: &windows,
+            x: &x,
+            s: &s,
+            m,
+            alpha,
+            inner: &mut inner,
+            evals: &mut fw_line_evals,
         };
-        let (gamma, val) = golden_min01(&mut eval);
+        let (gamma, val) = search(&mut segment, -gap);
         if val >= energy - 1e-12 * energy.max(1.0) {
             break; // numerically converged
         }
@@ -389,9 +422,128 @@ pub fn multi_opt_frank_wolfe(
     FwSolution { energy, gap, iterations: done, intervals: windows.intervals, placement }
 }
 
-/// Golden-section minimization over `[0, 1]` (small, local; avoids a
-/// dependency cycle with `qbss-analysis`).
-fn golden_min01(f: &mut dyn FnMut(f64) -> f64) -> (f64, f64) {
+/// One Frank–Wolfe step's segment `y(γ) = (1 − γ)·x + γ·s`, `γ ∈ [0, 1]`,
+/// with the buffers its evaluations reuse and their count.
+pub(crate) struct Segment<'a> {
+    windows: &'a Windows,
+    x: &'a [f64],
+    s: &'a [f64],
+    m: usize,
+    alpha: f64,
+    inner: &'a mut Inner,
+    /// Interval evaluations so far (`fw.line_evals`).
+    evals: &'a mut u64,
+}
+
+impl Segment<'_> {
+    /// `φ(γ)`: the energy at `y(γ)`.
+    pub(crate) fn energy(&mut self, gamma: f64) -> f64 {
+        let (windows, x, s) = (self.windows, self.x, self.s);
+        *self.evals += windows.intervals.len() as u64;
+        windows.energy(|e| (1.0 - gamma) * x[e] + gamma * s[e], self.m, self.alpha, self.inner)
+    }
+
+    /// `φ'(γ)`: the energy's slope along `s − x` at `y(γ)`, summed
+    /// interval by interval, each interval's entries in job order.
+    fn slope(&mut self, gamma: f64) -> f64 {
+        let (windows, x, s) = (self.windows, self.x, self.s);
+        *self.evals += windows.intervals.len() as u64;
+        let mut slope = 0.0;
+        for k in 0..windows.intervals.len() {
+            let len = windows.gather(k, |e| (1.0 - gamma) * x[e] + gamma * s[e], self.inner);
+            self.inner.gradient(len, self.m, self.alpha);
+            for (&e, &g) in windows.of_interval(k).iter().zip(&self.inner.grads) {
+                slope += g * (s[e] - x[e]);
+            }
+        }
+        slope
+    }
+}
+
+/// The exact line search: the step `γ` where the segment's slope,
+/// `φ'(0) = slope0 < 0` at its start, reaches zero or `1` if it never
+/// does, and the energy there.
+pub(crate) fn line_search(segment: &mut Segment, slope0: f64) -> (f64, f64) {
+    let gamma = slope_root01(slope0, &mut |gamma| segment.slope(gamma));
+    (gamma, segment.energy(gamma))
+}
+
+/// The widest bracket [`slope_root01`] leaves around a root, up to
+/// rounding in `γ`.
+const BRACKET: f64 = 1e-12;
+
+/// Evaluations one line search may make: golden section's 51.
+const LINE_EVALS: usize = 51;
+
+/// The minimizer over `[0, 1]` of a convex `φ`, from its slope
+/// `slope(γ) = φ'(γ)` and `φ'(0) = slope0 < 0`: `1` when `φ'(1) ≤ 0`,
+/// else the root of `φ'`. Brent's method brackets the root to about
+/// [`BRACKET`] by inverse quadratic and secant steps, and bisects where
+/// they would not shrink the bracket fast enough. It takes at most
+/// `LINE_EVALS − 1` slopes, leaving one evaluation for the energy at the
+/// root; at the cap it returns its best estimate, still inside `[0, 1]`.
+/// Shared by the solver and its dense reference.
+pub(crate) fn slope_root01(slope0: f64, slope: &mut dyn FnMut(f64) -> f64) -> f64 {
+    // `b` is the best estimate, `c` the far end of the bracket and `a`
+    // the previous `b`; `d` is the last step and `e` the one before.
+    let (mut b, mut fb) = (1.0_f64, slope(1.0));
+    if fb <= 0.0 {
+        return 1.0;
+    }
+    let (mut a, mut fa) = (0.0_f64, slope0);
+    let (mut c, mut fc) = (a, fa);
+    let (mut d, mut e) = (b - a, b - a);
+    for _ in 2..LINE_EVALS {
+        if fc.abs() < fb.abs() {
+            (a, b, c) = (b, c, b);
+            (fa, fb, fc) = (fb, fc, fb);
+        }
+        let tol = 2.0 * f64::EPSILON * b.abs() + 0.5 * BRACKET;
+        let half = 0.5 * (c - b);
+        if half.abs() <= tol || fb == 0.0 {
+            break;
+        }
+        if e.abs() < tol || fa.abs() <= fb.abs() {
+            (d, e) = (half, half);
+        } else {
+            let s = fb / fa;
+            let (mut p, mut q) = if a == c {
+                (2.0 * half * s, 1.0 - s)
+            } else {
+                let (q, r) = (fa / fc, fb / fc);
+                (
+                    s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0)),
+                    (q - 1.0) * (r - 1.0) * (s - 1.0),
+                )
+            };
+            if p > 0.0 {
+                q = -q;
+            } else {
+                p = -p;
+            }
+            // Interpolate only inside three quarters of the bracket and
+            // by less than half the step before last; else bisect.
+            if 2.0 * p < 3.0 * half * q - (tol * q).abs() && p < (0.5 * e * q).abs() {
+                (d, e) = (p / q, d);
+            } else {
+                (d, e) = (half, half);
+            }
+        }
+        (a, fa) = (b, fb);
+        b += if d.abs() > tol { d } else { tol.copysign(half) };
+        fb = slope(b);
+        if (fb > 0.0) == (fc > 0.0) {
+            (c, fc) = (a, fa);
+            (d, e) = (b - a, b - a);
+        }
+    }
+    b
+}
+
+/// Golden-section minimization over `[0, 1]` in 51 evaluations: the
+/// line search [`slope_root01`] replaced, kept as its reference.
+#[cfg(test)]
+pub(crate) fn golden_min01(f: &mut dyn FnMut(f64) -> f64) -> (f64, f64) {
     const INV_PHI: f64 = 0.618_033_988_749_895;
     let (mut lo, mut hi) = (0.0f64, 1.0f64);
     let mut x1 = hi - (hi - lo) * INV_PHI;
@@ -417,10 +569,11 @@ fn golden_min01(f: &mut dyn FnMut(f64) -> f64) -> (f64, f64) {
 }
 
 /// The dense solver this module replaced, with its allocating inner
-/// helpers, kept as the differential suite's reference.
+/// helpers, kept as the differential suite's reference. It shares the
+/// line search [`slope_root01`], so the suite checks the sparse layout.
 #[cfg(test)]
 pub(crate) mod reference {
-    use super::{golden_min01, FwSolution};
+    use super::{slope_root01, FwSolution};
     use crate::job::Instance;
     use crate::time::{dedup_times, EPS};
 
@@ -601,17 +754,30 @@ pub(crate) mod reference {
             if gap <= 1e-9 * energy.max(1.0) {
                 break;
             }
-            // Exact line search on the segment x + γ(s − x), γ ∈ [0, 1].
-            let mut eval = |gamma: f64| -> f64 {
+            // Exact line search on the segment x + γ(s − x), γ ∈ [0, 1],
+            // whose slope at 0 is −gap.
+            let point = |gamma: f64| -> Vec<Vec<f64>> {
                 let mut y = x.clone();
                 for k in 0..nk {
                     for j in 0..nj {
                         y[k][j] = (1.0 - gamma) * x[k][j] + gamma * s[k][j];
                     }
                 }
-                total_energy(&y)
+                y
             };
-            let (gamma, val) = golden_min01(&mut eval);
+            let mut slope = |gamma: f64| -> f64 {
+                let y = point(gamma);
+                let mut slope = 0.0;
+                for (k, &(a, b)) in intervals.iter().enumerate() {
+                    let g = inner_gradient(&y[k], b - a, m, alpha);
+                    for j in 0..nj {
+                        slope += g[j] * (s[k][j] - x[k][j]);
+                    }
+                }
+                slope
+            };
+            let gamma = slope_root01(-gap, &mut slope);
+            let val = total_energy(&point(gamma));
             if val >= energy - 1e-12 * energy.max(1.0) {
                 break; // numerically converged
             }
@@ -749,6 +915,30 @@ mod tests {
             assert!(fw.lower_bound() + 1e-6 >= 0.0);
             assert!(fw.energy + 1e-6 >= lb, "FW cannot beat a valid LB at m={m}");
         }
+    }
+
+    #[test]
+    fn the_slope_search_brackets_roots_within_golden_sections_budget() {
+        let search = |slope0: f64, slope: &dyn Fn(f64) -> f64| {
+            let mut calls = 0;
+            let gamma = slope_root01(slope0, &mut |g| {
+                calls += 1;
+                slope(g)
+            });
+            assert!(calls < LINE_EVALS, "{calls} slopes");
+            (gamma, calls)
+        };
+        // A slope still negative at 1: the full step, on one evaluation.
+        assert_eq!(search(-2.0, &|g| g - 1.5), (1.0, 1));
+        // A linear slope: the secant step lands on the root.
+        let (gamma, calls) = search(-0.3, &|g| g - 0.3);
+        assert!((gamma - 0.3).abs() <= BRACKET && calls <= 4, "{gamma} after {calls}");
+        // A jump no interpolation can use: bisection brackets it.
+        let (gamma, _) = search(-1.0, &|g| if g < 1.0 / 3.0 { -1.0 } else { 1.0 });
+        assert!((gamma - 1.0 / 3.0).abs() <= BRACKET, "{gamma}");
+        // A slope that says nothing: some step inside [0, 1].
+        let (gamma, _) = search(-1.0, &|_| f64::NAN);
+        assert!((0.0..=1.0).contains(&gamma), "{gamma}");
     }
 
     #[test]

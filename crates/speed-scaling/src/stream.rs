@@ -24,7 +24,9 @@
 //! * [`AvrStream`] — each job contributes a density *delta* (`+δ` at its
 //!   release, `−δ` at its deadline); the profile is a prefix sum over
 //!   the sorted delta list, `O(n log n)` total instead of `O(n²)`
-//!   pointwise re-summation.
+//!   pointwise re-summation. A live speed probe at or after the latest
+//!   release sums only the arrivals whose deadline lies past it, a list
+//!   pruned at each arrival, instead of every arrival so far.
 //! * [`OaStream`] — OA re-plans at every arrival, but every residual
 //!   instance has a *common release* (now), where YDS degenerates to the
 //!   least concave majorant of the cumulative-work staircase. The plan
@@ -69,13 +71,20 @@ fn assert_monotone(last: f64, release: f64, stream: &str) {
 // AVR
 // ---------------------------------------------------------------------------
 
-/// Incremental Average-Rate state: per-job density add/remove events.
+/// Incremental Average-Rate state: per-job density add/remove events,
+/// and the arrivals a live speed probe can still count.
 #[derive(Debug, Clone, Default)]
 pub struct AvrStream {
     /// `(time, density delta)` — `+δ` at releases, `−δ` at deadlines.
     deltas: Vec<(f64, f64)>,
-    /// Arrived jobs (for live speed queries).
+    /// Arrived jobs, in arrival order.
     jobs: Vec<Job>,
+    /// The arrived jobs whose deadline lies more than `EPS` past
+    /// `live_from`, in arrival order: at or after `live_from`, every
+    /// other arrival's window has closed.
+    live: Vec<Job>,
+    /// The latest release fed.
+    live_from: f64,
     last_release: f64,
 }
 
@@ -98,22 +107,35 @@ impl AvrStream {
     /// Feeds one arrival. Panics if `job.release` is before the previous
     /// arrival (see the module-level feeding contract).
     pub fn on_arrival(&mut self, job: Job) {
-        if !self.jobs.is_empty() {
+        if self.jobs.is_empty() {
+            self.live_from = job.release;
+        } else {
             assert_monotone(self.last_release, job.release, "AvrStream");
+            // A feed may creep down by less than EPS: the pruning
+            // threshold never falls.
+            self.live_from = self.live_from.max(job.release);
         }
         self.last_release = job.release;
         let delta = job.density();
         self.deltas.push((job.release, delta));
         self.deltas.push((job.deadline, -delta));
         qbss_telemetry::counter!("avr.delta_events").add(2);
+        let from = self.live_from;
+        self.live.retain(|j| j.deadline > from + EPS);
+        if job.deadline > from + EPS {
+            self.live.push(job);
+        }
         self.jobs.push(job);
     }
 
     /// The AVR speed just after time `t`: the density sum of arrived jobs
-    /// whose window `(r, d]` still covers instants right after `t`.
+    /// whose window `(r, d]` still covers instants right after `t`. At or
+    /// after the latest release only the live arrivals can count, so it
+    /// sums those: the same jobs in the same order as a scan of every
+    /// arrival, which an earlier `t` still makes.
     pub fn speed_after(&self, t: f64) -> f64 {
-        self.jobs
-            .iter()
+        let jobs = if t >= self.live_from { &self.live } else { &self.jobs };
+        jobs.iter()
             .filter(|j| j.release <= t + EPS && j.deadline > t + EPS)
             .map(|j| j.density())
             .sum()
@@ -140,6 +162,19 @@ impl AvrStream {
         }
         qbss_telemetry::counter!("avr.grid_segments").add(values.len() as u64);
         SpeedProfile::new(grid, values)
+    }
+}
+
+/// The full-history AVR probe, a scan of every arrival, kept as the
+/// differential suite's reference.
+#[cfg(test)]
+impl AvrStream {
+    pub(crate) fn reference_speed_after(&self, t: f64) -> f64 {
+        self.jobs
+            .iter()
+            .filter(|j| j.release <= t + EPS && j.deadline > t + EPS)
+            .map(|j| j.density())
+            .sum()
     }
 }
 
