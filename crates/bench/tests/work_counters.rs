@@ -176,6 +176,23 @@ fn batch_bkpq_probes_only_in_its_finish() {
 }
 
 #[test]
+fn bkp_finish_computes_few_windows_per_query() {
+    let _guard = lock();
+    // Table 1's BKPQ row: the online family at n = 40, fed in one batch.
+    let work = work_delta(|| {
+        for seed in 0..4 {
+            try_bkpq(&generate(&GenConfig::online_default(40, seed))).expect("bkpq runs");
+        }
+    });
+    let count = |name: &str| work.get(name).copied().unwrap_or(0);
+    assert!(count("bkp.intensity_queries") > 0, "{work:?}");
+    // A sweep per query evaluated about 360 windows on these seeds; the
+    // intensity table recomputes only the ones an arrival or a joining
+    // release changes, about 80.
+    assert!(count("bkp.window_slides") <= 150 * count("bkp.intensity_queries"), "{work:?}");
+}
+
+#[test]
 fn frank_wolfe_line_searches_cost_a_few_gradient_passes() {
     let _guard = lock();
     // Table 1's multi-machine certificate: the clairvoyant online

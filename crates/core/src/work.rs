@@ -39,7 +39,7 @@ pub const WORK_COUNTERS: &[WorkCounter] = &[
     ),
     (
         "bkp.deadline_steps",
-        "deadline-sorted entry passed by a BKP running work sum, in a query or in prefix upkeep",
+        "deadline-sorted entry passed by a BKP running work sum: in a live query or its prefix upkeep, or in finish's intensity table (a row's sum written, or an entry summed into a new row's start)",
     ),
     (
         "bkp.intensity_queries",
@@ -47,7 +47,7 @@ pub const WORK_COUNTERS: &[WorkCounter] = &[
     ),
     (
         "bkp.window_slides",
-        "candidate (t1, t2] window step inside one intensity query",
+        "candidate (t1, t2] window evaluated: a step of a live intensity query, or a value finish's intensity table recomputes",
     ),
     (
         "cache.opt_energy.hits",

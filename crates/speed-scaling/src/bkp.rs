@@ -15,7 +15,7 @@
 //! set — and hence the maximum — is constant, so the profile is exact on
 //! the event grid.
 
-use crate::edf::{edf_schedule, EdfTask};
+use crate::edf::{edf_schedule, EdfInfeasible, EdfTask};
 use crate::job::Instance;
 use crate::profile::SpeedProfile;
 use crate::schedule::Schedule;
@@ -72,11 +72,19 @@ pub fn bkp_profile(instance: &Instance) -> SpeedProfile {
 }
 
 /// Runs BKP: profile plus explicit EDF schedule.
-pub fn bkp(instance: &Instance) -> BkpResult {
+///
+/// In exact arithmetic EDF cannot miss a deadline here. The profile is
+/// at least Bansal, Kimbrel and Pruhs's BKP speed at every instant
+/// (their window `(e·t − (e−1)·t2, t2]` is one of the windows maximised
+/// over), under which every job completes, and EDF meets every deadline
+/// under any profile that admits a feasible schedule. In `f64` the
+/// profile and EDF's work sums round, so an `Err` reports a rounding
+/// shortfall beyond EDF's tolerance: a numerical fault, not an
+/// infeasible instance.
+pub fn bkp(instance: &Instance) -> Result<BkpResult, EdfInfeasible> {
     let profile = bkp_profile(instance);
-    let schedule = edf_schedule(&EdfTask::from_instance(instance), &profile, 0)
-        .expect("BKP profile is feasible (it dominates the critical intensity)");
-    BkpResult { profile, schedule }
+    let schedule = edf_schedule(&EdfTask::from_instance(instance), &profile, 0)?;
+    Ok(BkpResult { profile, schedule })
 }
 
 #[cfg(test)]
@@ -114,7 +122,7 @@ mod tests {
             Job::new(1, 1.0, 2.0, 1.0),
             Job::new(2, 1.5, 5.0, 2.0),
         ]);
-        let r = bkp(&i);
+        let r = bkp(&i).expect("EDF meets every deadline");
         assert!(r.schedule.check(&Schedule::requirements_of(&i)).is_ok());
     }
 

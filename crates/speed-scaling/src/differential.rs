@@ -490,6 +490,90 @@ fn bkp_stream_matches_the_reference_on_a_creeping_feed() {
     assert_eq!(profile_bits(&stream.finish()), profile_bits(&stream.reference_finish()));
 }
 
+/// Feeds `jobs` in order into a [`BkpStream`] and holds its finished
+/// profile to the reference, bit for bit.
+fn bkp_finish_against_the_reference(jobs: &[Job], label: &str) {
+    let mut stream = BkpStream::new();
+    for &job in jobs {
+        stream.on_arrival(job);
+    }
+    let (fast, slow) = (stream.finish(), stream.reference_finish());
+    assert_eq!(profile_bits(&fast), profile_bits(&slow), "{label}");
+}
+
+#[test]
+fn bkp_finish_matches_the_reference_when_a_release_arrives_before_it_joins() {
+    // Grid points 0 and 1.5·EPS (job 1's release merges into 0): at
+    // their midpoint jobs 1 and 2 have arrived, since each release is
+    // within EPS above it, but neither is a candidate t1, since t1 must
+    // lie strictly below it, and job 1's release is the midpoint itself.
+    let g = 1.5 * EPS;
+    let jobs = [
+        Job::new(0, 0.0, 4.0, 1.0),
+        Job::new(1, 0.5 * g, 3.0, 2.0),
+        Job::new(2, g, 5.0, 1.0),
+    ];
+    bkp_finish_against_the_reference(&jobs, "releases in (mid, mid + EPS]");
+}
+
+#[test]
+fn bkp_finish_matches_the_reference_when_a_deadline_lands_within_eps_after_others() {
+    // Job 2 arrives last with a deadline within EPS after jobs 0's and
+    // 1's, so it sorts after them but their windows' sums now count its
+    // work: the widest window, (0, 10], holds all 8 units.
+    let e = EPS;
+    let jobs = [
+        Job::new(0, 0.0, 10.0, 3.0),
+        Job::new(1, 1.0, 10.0 + 0.25 * e, 1.0),
+        Job::new(2, 2.0, 10.0 + 0.5 * e, 4.0),
+    ];
+    bkp_finish_against_the_reference(&jobs, "deadlines within EPS");
+}
+
+#[test]
+fn bkp_finish_matches_the_reference_on_many_arrivals_at_one_midpoint() {
+    // A common release brings every job in at the first midpoint; with
+    // split jobs the exact parts follow one by one. Integer releases
+    // bring several jobs in at each later one.
+    for family in [Family::Arbitrary, Family::Grid] {
+        for n in [100, 160] {
+            for seed in 0..2 {
+                for split in [true, false] {
+                    let inst = instance(family, n, 1000 * n as u64 + seed, split);
+                    let label = format!("{family:?} n={n} seed={seed} split={split}");
+                    bkp_finish_against_the_reference(&release_ordered(&inst), &label);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn bkp_finish_matches_the_reference_when_a_creeping_feed_inserts_below_the_kept_entries() {
+    // Jobs 0–4 expire before 10, and by the midpoint 2.7·EPS below 10
+    // the finish has dropped them all. From job 5, released at 10, the
+    // feed creeps down by 0.9·EPS per arrival. The arrived count is a
+    // binary search over the arrival order, which stops at job 5 until
+    // a midpoint lies within EPS of 10, so job 12, released 6.3·EPS
+    // below 10, arrives only with it, and its deadline sorts below job
+    // 4's: it lands among the dropped entries, and every row starts over.
+    let e = EPS;
+    let creep = |k: u32| 10.0 - 0.9 * e * f64::from(k);
+    let mut jobs = vec![
+        Job::new(0, 0.0, 2.0, 1.0),
+        Job::new(1, 0.0, 4.0, 1.0),
+        Job::new(2, 0.0, 6.0, 1.0),
+        Job::new(3, 0.0, 8.0, 1.0),
+        Job::new(4, 9.0, 10.0 - 4.5 * e, 1.0),
+        Job::new(5, 10.0, 12.0, 2.0),
+    ];
+    for k in 1..=6 {
+        jobs.push(Job::new(5 + k, creep(k), 13.0, 1.0));
+    }
+    jobs.push(Job::new(12, creep(7), 10.0 - 5.0 * e, 1.0));
+    bkp_finish_against_the_reference(&jobs, "creeping feed below the kept entries");
+}
+
 /// Feeds `inst` in arrival order into an [`AvrStream`] and holds every
 /// probe to the reference scan, bit for bit: at each arrival's release
 /// just before and just after it joins, at an earlier arrival's release

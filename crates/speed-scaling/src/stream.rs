@@ -42,9 +42,13 @@
 //!   releases and `l` deadlines past the kept prefix, against
 //!   `O(k log k + r·k)` for a re-sort and full sweep of all `k` arrived
 //!   jobs. Keeping the sums costs `O(k)` per arrival and per expired
-//!   deadline; `finish` replays the arrivals on a second view whose
-//!   sums follow the grid midpoints, so each of its probes sweeps only
-//!   the live deadlines.
+//!   deadline. `finish` replays the arrivals into an intensity table
+//!   that keeps, between grid midpoints, each release's running sum at
+//!   each kept deadline and each deadline's best window: an arrival
+//!   recomputes `O(rows × entries past its insertion point)` of them,
+//!   and a midpoint answers in `O(live)`. The table holds
+//!   `O(rows × kept)` sums, the kept deadlines at most about twice the
+//!   live ones, and is freed when `finish` returns.
 
 use crate::job::{Instance, Job};
 use crate::profile::SpeedProfile;
@@ -407,27 +411,31 @@ impl BkpStream {
     }
 
     /// Builds the BKP profile of everything that has arrived: one query
-    /// per grid midpoint, on a view that replays the arrivals and extends
-    /// its sums as the midpoints advance.
+    /// per grid midpoint, on an intensity table that replays the
+    /// arrivals and keeps each release's running sums and each
+    /// deadline's best window between midpoints. An arrival costs
+    /// `O(rows × entries past its insertion point)` and a midpoint
+    /// without one `O(live)`. The table holds `O(rows × kept)` sums, the
+    /// kept deadlines at most about twice the live ones, and is freed
+    /// on return.
     pub fn finish(&self) -> SpeedProfile {
         if self.view.jobs.is_empty() {
             return SpeedProfile::zero();
         }
         let grid = dedup_times(self.events());
         let mut values = Vec::with_capacity(grid.len() - 1);
-        let mut replay = DeadlineView::default();
+        let mut table = IntensityTable::default();
+        let mut fed = 0;
         for w in grid.windows(2) {
             let mid = 0.5 * (w[0] + w[1]);
             // The arrived count never falls as `mid` grows: each job's
             // test only turns true, and a binary search that meets a true
             // probe where it met a false one only ends further right.
             let arrived = self.arrived(mid);
-            debug_assert!(arrived >= replay.jobs.len(), "arrivals un-arrived at {mid}");
-            for &job in &self.view.jobs[replay.jobs.len()..arrived] {
-                replay.push(job);
-            }
-            replay.advance(mid);
-            values.push(std::f64::consts::E * replay.intensity(mid));
+            debug_assert!(arrived >= fed, "arrivals un-arrived at {mid}");
+            let intensity = table.intensity_after(&self.view.jobs[fed..arrived], mid);
+            values.push(std::f64::consts::E * intensity);
+            fed = arrived;
         }
         SpeedProfile::new(grid, values)
     }
@@ -440,6 +448,201 @@ impl BkpStream {
         }
         events
     }
+}
+
+/// BKP's intensities over one [`BkpStream::finish`] replay, kept from
+/// one grid midpoint to the next.
+///
+/// *Entries* are the arrived jobs in (deadline, arrival) order. *Rows*
+/// are the candidate `t1`s: an arrived job's release joins once a
+/// midpoint lies strictly above it. A row keeps its running sum at each
+/// kept entry, `sums[k − base]` over the first `k` entries, adding the
+/// work released at or after `t1` (up to `EPS`) in entry order: the
+/// additions of [`intensity_over`]'s sweep, in its order. An entry `q`
+/// stands for `t2 = d_q`; its sum covers `reach(q)`, the entries with a
+/// deadline at most `d_q + EPS`, and `best[q]` is the largest
+/// `sums / (d_q − t1)` over the joined rows with `d_q > t1 + EPS`. The
+/// intensity at `t` is the largest `best` of a live entry (deadline at
+/// or after `t − EPS`): the sweep's values, compared by `max`, which
+/// does not depend on their order, so the same bits.
+///
+/// An arrival inserted at entry `at` changes no sum up to `at`, and no
+/// `best` of an entry whose reach ends below its deadline. So it
+/// recomputes the sums past `at` and the bests from the first entry
+/// within `EPS` below its deadline: `O(rows × entries past the insertion
+/// point)`. Several arrivals at one midpoint recompute once, from the
+/// lowest of these. A joining row folds its values into the live bests,
+/// and a midpoint with neither costs one `max` over the live entries.
+/// Rows drop the expired entries once those are half of what they keep,
+/// so the kept entries are at most about twice the live ones.
+#[derive(Debug, Default)]
+struct IntensityTable {
+    /// The arrived jobs in (deadline, arrival) order.
+    entries: Vec<Job>,
+    /// How many leading entries, all expired, the rows no longer keep.
+    base: usize,
+    /// The joined rows.
+    rows: Vec<Row>,
+    /// Releases of arrived jobs that no midpoint lies above yet.
+    pending: Vec<f64>,
+    /// Per entry, the best window ending at its deadline; kept current
+    /// for the live entries only.
+    best: Vec<f64>,
+    /// Per live entry `q`, `reach(q) − base`: where a row keeps the sum
+    /// that `q`'s windows divide.
+    reach: Vec<usize>,
+}
+
+/// One candidate `t1` of an [`IntensityTable`] and its running sums.
+#[derive(Debug)]
+struct Row {
+    t1: f64,
+    /// `sums[k]`: the running sum over the first `base + k` entries.
+    sums: Vec<f64>,
+}
+
+impl IntensityTable {
+    /// Adds `arrivals`, the jobs arrived by `t` since the last call, lets
+    /// the releases below `t` join, and answers the intensity at `t`.
+    fn intensity_after(&mut self, arrivals: &[Job], t: f64) -> f64 {
+        // Deadline steps count running-sum entries, window slides
+        // `(t1, t2)` values; both land with one `add` per midpoint.
+        let mut steps = 0_u64;
+        let mut slides = 0_u64;
+        let mut from = self.entries.len();
+        let mut earliest = f64::INFINITY;
+        for &job in arrivals {
+            let key = time_key(job.deadline);
+            let at =
+                self.entries.partition_point(|j| time_key(j.deadline).total_cmp(&key).is_le());
+            self.entries.insert(at, job);
+            self.best.insert(at, 0.0);
+            self.pending.push(job.release);
+            from = from.min(at);
+            earliest = earliest.min(job.deadline);
+        }
+        if self.entries.is_empty() {
+            return 0.0;
+        }
+        let n = self.entries.len();
+        let live = self.entries.partition_point(|j| j.deadline + EPS < t);
+        let joins = self.pending.iter().any(|&t1| t1 < t && t1.is_finite());
+        if !arrivals.is_empty() && from < self.base {
+            // Only a feed creeping down by less than EPS per arrival
+            // inserts below the kept entries: start every row over.
+            self.base = from;
+            for row in &mut self.rows {
+                row.sums.clear();
+                row.sums.push(start_sum(&self.entries[..from], row.t1, &mut steps));
+            }
+        }
+        if !arrivals.is_empty() || joins {
+            self.reach.resize(n, 0);
+            let mut p = live;
+            for q in live..n {
+                let cap = self.entries[q].deadline + EPS;
+                p = p.max(q + 1);
+                while p < n && self.entries[p].deadline <= cap {
+                    p += 1;
+                }
+                self.reach[q] = p - self.base;
+            }
+        }
+        if !arrivals.is_empty() {
+            let keep = from - self.base + 1;
+            let first = self.entries.partition_point(|j| j.deadline + EPS < earliest).max(live);
+            self.best[first..].fill(0.0);
+            for row in &mut self.rows {
+                row.sums.truncate(keep);
+                extend_sums(&mut row.sums, row.t1, &self.entries[from..], &mut steps);
+                slides += fold_row(
+                    row,
+                    &self.entries[first..],
+                    &self.reach[first..],
+                    &mut self.best[first..],
+                );
+            }
+        }
+        if joins {
+            let mut k = 0;
+            while k < self.pending.len() {
+                let t1 = self.pending[k];
+                if !(t1 < t && t1.is_finite()) {
+                    k += 1;
+                    continue;
+                }
+                self.pending.remove(k);
+                // A release equal to the last row's has the same sums
+                // and values: it adds nothing.
+                if self.rows.last().is_some_and(|r| r.t1.to_bits() == t1.to_bits()) {
+                    continue;
+                }
+                let mut sums = Vec::with_capacity(n - self.base + 1);
+                sums.push(start_sum(&self.entries[..self.base], t1, &mut steps));
+                extend_sums(&mut sums, t1, &self.entries[self.base..], &mut steps);
+                let row = Row { t1, sums };
+                slides += fold_row(
+                    &row,
+                    &self.entries[live..],
+                    &self.reach[live..],
+                    &mut self.best[live..],
+                );
+                self.rows.push(row);
+            }
+        }
+        if live > self.base && 2 * (live - self.base) >= n - self.base {
+            for row in &mut self.rows {
+                row.sums.drain(..live - self.base);
+            }
+            self.base = live;
+        }
+        qbss_telemetry::counter!("bkp.intensity_queries").inc();
+        qbss_telemetry::counter!("bkp.window_slides").add(slides);
+        qbss_telemetry::counter!("bkp.deadline_steps").add(steps);
+        self.best[live..].iter().fold(0.0, |m, &b| m.max(b))
+    }
+}
+
+/// Folds `row`'s values at `entries`, all live, into their `best`s;
+/// `reach` holds each entry's reach as an index into the row's sums.
+/// Returns how many values it computed.
+fn fold_row(row: &Row, entries: &[Job], reach: &[usize], best: &mut [f64]) -> u64 {
+    let t1 = row.t1;
+    // Every live deadline lies past all but the latest rows' `t1`.
+    let from = match entries.first() {
+        Some(j) if j.deadline > t1 + EPS => 0,
+        _ => entries.partition_point(|j| j.deadline <= t1 + EPS),
+    };
+    for ((j, &r), b) in entries[from..].iter().zip(&reach[from..]).zip(&mut best[from..]) {
+        *b = b.max(row.sums[r] / (j.deadline - t1));
+    }
+    (entries.len() - from) as u64
+}
+
+/// The sum a row for `t1` starts from: the work in `dropped` released at
+/// or after `t1` (up to `EPS`), in entry order.
+fn start_sum(dropped: &[Job], t1: f64, steps: &mut u64) -> f64 {
+    let mut acc = 0.0_f64;
+    for j in dropped {
+        if j.release + EPS >= t1 {
+            acc += j.work;
+        }
+    }
+    *steps += dropped.len() as u64;
+    acc
+}
+
+/// Extends `sums` by the running sum over `entries` of the work released
+/// at or after `t1` (up to `EPS`), from the last sum.
+fn extend_sums(sums: &mut Vec<f64>, t1: f64, entries: &[Job], steps: &mut u64) {
+    let mut acc = sums[sums.len() - 1];
+    for j in entries {
+        if j.release + EPS >= t1 {
+            acc += j.work;
+        }
+        sums.push(acc);
+    }
+    *steps += entries.len() as u64;
 }
 
 /// Today's BKP queries, one quadratic re-sort and sweep per probe, kept
